@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .band import CosBand
 from .quadrature import Integral, QuadratureSpec, integrate
 from .types import (
     CRITICAL,
@@ -52,6 +53,11 @@ def dopo_omega_squared(p: DopoParams, k):
     return val if val.ndim else float(val)
 
 
+def dopo_band(p: DopoParams) -> CosBand:
+    """Omega_k^2 = (delta - 2*j*cos k)^2 - d2 as a quadratic in cos k."""
+    return CosBand(p.delta, -2.0 * p.j, s=p.d2)
+
+
 def dopo_spectrum(p: DopoParams, grid: MomentumGrid) -> Spectrum:
     """Omega_k^2 on every point of a discrete grid."""
     if grid.is_continuum:
@@ -80,20 +86,22 @@ def dopo_zero_point_energy(p: DopoParams, grid: MomentumGrid) -> float:
 
 
 def _instability_window(p: DopoParams) -> tuple[float, float] | None:
-    """k-interval in [0, pi] where Omega_k^2 < 0, or None when stable."""
-    if p.d2 <= 0.0:
-        return None  # Omega^2 = eps^2 - d2 >= -d2 >= 0
-    drive = math.sqrt(p.d2)
+    """k-interval in [0, pi] where Omega_k^2 < 0, or None when stable.
+
+    A band whose minimum lies within STABILITY_TOL of zero is stable: at an
+    exact critical point the minimum is rounding, not an unstable mode.
+    """
+    if dopo_band(p).minimum() >= -STABILITY_TOL:
+        return None
     if p.j == 0.0:
-        return (0.0, math.pi) if abs(p.delta) < drive else None
+        return (0.0, math.pi)  # a flat band: every mode is unstable
+    drive = math.sqrt(p.d2)  # the minimum is at least -d2, so d2 > 0 here
     # |eps_k| < drive  <=>  cos k in ((delta-drive)/(2j), (delta+drive)/(2j))
     lo = (p.delta - drive) / (2.0 * p.j)
     hi = (p.delta + drive) / (2.0 * p.j)
     if lo > hi:
         lo, hi = hi, lo
     lo, hi = max(lo, -1.0), min(hi, 1.0)
-    if lo >= hi:
-        return None
     return (math.acos(hi), math.acos(lo))  # arccos reverses order
 
 
@@ -102,7 +110,9 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
 
     Computed as (1/(2*pi)) * integral_0^pi Omega_k dk - delta/2, using that
     cos k integrates to zero over the band. Raises UnstablePhaseError (with
-    the window endpoints) if any part of [0, pi] is unstable.
+    the window endpoints) if any part of [0, pi] is unstable. With no drive
+    and |delta| < 2|j|, Omega_k = |eps_k| has a kink at k* = arccos(delta/(2j)),
+    where the integral is split.
     """
     window = _instability_window(p)
     if window is not None:
@@ -115,7 +125,7 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
         # clip tiny negatives from rounding at a marginal gap closing
         return np.sqrt(np.maximum(dopo_omega_squared(p, k), 0.0))
 
-    raw = integrate(omega, 0.0, math.pi, quad)
+    raw = integrate(omega, 0.0, math.pi, quad, breaks=dopo_band(p).kinks())
     scale = 1.0 / (2.0 * math.pi)
     return Integral(raw.value * scale - 0.5 * p.delta, raw.error * scale, raw.nodes)
 

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .dopo import (
     STABILITY_TOL,
+    dopo_band,
     dopo_classify_phase,
     dopo_critical_detuning,
     dopo_energy_density,
@@ -190,6 +191,12 @@ def config_from_dict(raw: dict) -> SweepConfig:
 # per-point evaluation (top level so worker processes can pickle it)
 # ---------------------------------------------------------------------------
 
+def _network_gap(p: DopoParams) -> float | None:
+    """min_k Omega_k, at the closed-form minimum of the band; None when a mode is unstable."""
+    min_omsq = float(dopo_omega_squared(p, math.acos(dopo_band(p).argmin())))
+    return math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
+
+
 def _mapped_density(p: XYParams, h: float, quad: QuadratureSpec) -> float:
     return dopo_energy_density(map_xy_to_dopo(p.with_h(h)).dopo, quad).value
 
@@ -250,8 +257,7 @@ def _dopo_point(cfg: SweepConfig, delta: float, wants: set) -> SweepRecord:
         except UnstablePhaseError:
             flags.append("unstable-step")
     if "gap" in wants:
-        min_omsq = float(np.min(dopo_omega_squared(p, np.linspace(0.0, math.pi, 2001))))
-        gap = math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
+        gap = _network_gap(p)
     return SweepRecord(control=delta, delta=delta, e_g=e_g, m_z=m_z, chi=chi,
                        phase=phase, gap=gap, flags=";".join(flags))
 
@@ -281,8 +287,7 @@ def _mapped_point(cfg: SweepConfig, h: float, wants: set) -> SweepRecord:
         if any(abs(h - hc) < cfg.dh for hc, _ in _critical_controls_xy(cfg.params)):
             flags.append("straddle")
     if "gap" in wants:
-        min_omsq = float(np.min(dopo_omega_squared(mapped.dopo, np.linspace(0.0, math.pi, 2001))))
-        gap = math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
+        gap = _network_gap(mapped.dopo)
     return SweepRecord(control=h, h=h, delta=mapped.dopo.delta, e_g=e_g, m_z=m_z,
                        chi=chi, phase=phase, gap=gap, flags=";".join(flags))
 

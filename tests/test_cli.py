@@ -103,10 +103,12 @@ def test_sweep_bad_config_exit_code(capsys):
 
 
 def test_sweep_numerical_error_exit_code(capsys):
-    # tolerance unreachable within the node budget on a kinked integrand
-    code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "1",
-                           "--start", "0.5", "--stop", "1.0", "--steps", "2",
-                           "--outputs", "e_g", "--tol", "1e-15", "--workers", "1")
+    # jy = 0.999 is a near-kink: the band has no zero to split at, and
+    # 1e-12 is unreachable within 4096 nodes
+    code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "0.999",
+                           "--start", "1.0", "--stop", "1.5", "--steps", "2",
+                           "--outputs", "e_g", "--tol", "1e-12", "--max-nodes", "4096",
+                           "--workers", "1")
     assert code == 3
     assert "numerical" in err
 

@@ -15,6 +15,7 @@ from xydopo.dopo import (
     dopo_zero_point_energy,
 )
 from xydopo.mapping import map_xy_to_dopo
+from xydopo.xy import xy_energy_density
 from xydopo.types import (
     CRITICAL,
     NORMAL,
@@ -82,6 +83,15 @@ def test_energy_density_unstable_window_endpoints():
     assert 0.0 < lo < hi < np.pi
     mid = 0.5 * (lo + hi)
     assert dopo_omega_squared(DopoParams(2.0, -2.0, 1.0), mid) < 0
+
+
+@pytest.mark.parametrize("jx,jy,h", [(2.0, 1.0, 3.0), (1.0, 0.01, 1.01)])
+def test_energy_density_stable_at_the_mapped_critical_field(jx, jy, h):
+    # min Omega^2 is rounding here (about -7e-16 and -3e-14), not an unstable mode
+    src = XYParams(jx, jy, h)
+    e = dopo_energy_density(map_xy_to_dopo(src).dopo).value
+    e_xy = xy_energy_density(src).value
+    assert e == pytest.approx(-e_xy + h * (jx + jy) / (2.0 * math.sqrt(jx * jy)), abs=1e-9)
 
 
 def test_energy_density_whole_band_unstable_without_hopping():

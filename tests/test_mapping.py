@@ -122,7 +122,7 @@ def test_energy_shift_identity_random():
 
 def test_energy_shift_identity_ordered_side():
     # d2 < 0 here, yet the signed convention keeps the network side defined
-    # and the identity exact; the stability scan decides the report
+    # and the identity exact; the closed-form band minimum decides the report
     rep = map_energy_density(XYParams(2.0, 1.0, 1.0))
     assert rep.stable
     assert rep.e_dopo is not None
@@ -133,3 +133,12 @@ def test_energy_shift_values_both_routes():
     rep = map_energy_density(XYParams(2.0, 1.0, 4.0))
     shift = 4.0 * 3.0 / (2.0 * math.sqrt(2.0))
     assert rep.e_dopo == pytest.approx(-rep.e_xy + shift, abs=1e-9)
+
+
+@pytest.mark.parametrize("j,h", [(1.0, 0.5), (1.0, 1.0), (1.3, -1.9), (0.7, 0.0)])
+def test_energy_shift_identity_undriven_network(j, h):
+    # isotropic chains map to d2 = 0; both sides are split at their kink
+    assert map_xy_to_dopo(XYParams(j, j, h)).dopo.d2 == 0.0
+    rep = map_energy_density(XYParams(j, j, h))
+    assert rep.stable
+    assert abs(rep.residual) <= 1e-12

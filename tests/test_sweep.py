@@ -128,6 +128,25 @@ def test_mapped_sweep_dual_axes_and_phase_flip():
     assert records[6].e_g == pytest.approx(-e_xy + 3.0 * 2.0 / 2.0, abs=1e-9)
 
 
+def test_mapped_sweep_at_the_exact_critical_field():
+    # fig3-left: h = 3 is on the grid and keeps its energy and critical label
+    cfg = config_from_dict(dict(model="mapped", jx=2.0, jy=1.0, start=2.0, stop=4.0,
+                                steps=3, outputs="e_g,phase,gap"))
+    record = list(run_sweep(cfg))[1]
+    assert record.phase == CRITICAL
+    e_xy = xy_energy_density(XYParams(2.0, 1.0, 3.0)).value
+    assert record.e_g == pytest.approx(-e_xy + 9.0 / (2.0 * math.sqrt(2.0)), abs=1e-9)
+    assert record.gap == 0.0   # min Omega^2 = -7e-16 is rounding, clipped to 0
+
+
+def test_mapped_sweep_gap_closed_in_the_gapless_window():
+    cfg = config_from_dict(dict(model="mapped", jx=1.0, jy=1.0, start=0.3, stop=2.7,
+                                steps=5, outputs="gap"))
+    gaps = [r.gap for r in run_sweep(cfg)]
+    assert all(g <= 1e-12 for g in gaps[:3])                   # |h| < 2j
+    assert gaps[4] == pytest.approx(2.0 * (2.7 - 2.0), abs=1e-12)
+
+
 def test_dopo_sweep_unstable_points_keep_streaming():
     cfg = config_from_dict(dict(model="dopo", j=2.0, d2=1.0, start=-6.0, stop=-4.0,
                                 steps=5, outputs="e_g,phase"))

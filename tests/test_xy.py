@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from xydopo.quadrature import QuadratureSpec
+from xydopo.quadrature import Integral, QuadratureSpec, integrate
 from xydopo.types import (
     CONTINUUM,
     CRITICAL,
@@ -207,3 +207,29 @@ def test_phase_rejects_negative_couplings():
 def test_gap_scan():
     assert xy_gap(XYParams(2.0, 1.0, 3.0)) < 1e-12          # closes exactly at k = pi
     assert xy_gap(XYParams(2.0, 1.0, 3.5)) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_energy_density_ordered_isotropic_closed_form():
+    # E_k = 2|h + 2j cos k| is split at its kink k* = arccos(-h/(2j))
+    h, j = 1.0, 1.0
+    res = xy_energy_density(XYParams(j, j, h), QuadratureSpec(tol=1e-13))
+    ks = math.acos(-h / (2.0 * j))
+    exact = -(h * (2.0 * ks - math.pi) + 4.0 * j * math.sin(ks)) / math.pi
+    assert abs(res.value - exact) <= 1e-14
+    assert res.nodes <= 128
+
+
+def test_susceptibility_ordered_isotropic():
+    # chi = 1/(pi*j*sin k*) in the gapless window: 2/(pi*sqrt(3)) at h = j = 1
+    chi = xy_susceptibility(XYParams(1.0, 1.0, 1.0), QuadratureSpec(tol=1e-12), dh=1e-4)
+    assert chi.value == pytest.approx(2.0 / (math.pi * math.sqrt(3.0)), abs=1e-6)
+
+
+@pytest.mark.parametrize("jx,jy,h", [(2.0, 1.0, 1.5), (1.0, 0.0, 0.7), (1.0, 1.0, 2.5)])
+def test_unkinked_chain_takes_the_unsplit_path(jx, jy, h):
+    p = XYParams(jx, jy, h)
+    quad = QuadratureSpec()
+    raw = integrate(lambda k: xy_dispersion(p, k), 0.0, math.pi, quad)
+    scale = 1.0 / (2.0 * math.pi)
+    assert xy_energy_density(p, quad) == Integral(-raw.value * scale, raw.error * scale,
+                                                   raw.nodes)

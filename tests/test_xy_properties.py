@@ -42,7 +42,7 @@ def test_coupling_swap_symmetry():
 
 
 def test_gap_law_anisotropic():
-    # gap closes exactly at |h| = jx + jy (band edge lands on the scan grid)
+    # gap closes exactly at |h| = jx + jy (the band minimum sits at the band edge)
     # and is open elsewhere for jx != jy
     rng = np.random.default_rng(17)
     for _ in range(20):
@@ -57,13 +57,13 @@ def test_gap_law_anisotropic():
 
 def test_gapless_window_isotropic():
     # the isotropic chain is gapless throughout |h| <= 2j (the transition
-    # fields are the window boundary); the interior zero generally falls
-    # between scan points, so the observed minimum is resolution-limited
+    # fields are the window boundary); the band's double zero at
+    # cos k* = -h/(2j) gives a gap of exactly zero
     j = 1.3
     for h in (0.0, 0.8, 1.9, 2.6):
         gap = xy_gap(XYParams(j, j, h))
         if abs(h) <= 2 * j:
-            assert gap < 2e-3 * j
+            assert gap <= 1e-12
         else:
             assert gap == pytest.approx(2 * (abs(h) - 2 * j), rel=1e-6)
 
