@@ -10,9 +10,12 @@ real arithmetic:
     aligned pair      |00> <-> |11>   amplitude  jy - jx
     anti-aligned pair |01> <-> |10>   amplitude -(jx + jy)
 
-The dense path builds the full 2^n x 2^n symmetric matrix (about 134 MB at
-n = 12, the dense limit); the Lanczos path applies the Hamiltonian term by
-term through bit operations and goes to n = 20.
+A pair flip keeps the parity prod_i sz_i (Lieb, Schultz & Mattis 1961), so
+each parity sector is a closed block of 2^(n-1) states, solved on its own and
+merged afterwards. The dense method diagonalizes each block as a full matrix
+(about 33 MB per block at n = 12, the dense limit); the Lanczos method runs
+ARPACK's implicitly restarted Lanczos (scipy's eigsh) on the sparse block and
+goes to n = 20. scipy is imported only when a ring is solved.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
-from .types import NumericalError, XYParams
+from .types import ANTIPERIODIC, PERIODIC, NumericalError, XYParams, build_grid
+from .xy import xy_ground_energy_finite
 
 DENSE = "dense"
 LANCZOS = "lanczos"
@@ -31,139 +34,105 @@ ODD = "odd"
 
 _DENSE_MAX = 12
 _LANCZOS_MAX = 20
-_LANCZOS_BUDGET = 500
-_LANCZOS_TOL = 1e-12
+_DENSE_LEVELS = 8        # lowest levels kept per block by the dense method
+_ARPACK_MIN_DIM = 64     # blocks near ARPACK's 20-vector Krylov space or below go dense
+_ARPACK_SEED = 20240917  # fixed start vector: repeated calls give equal results
+_ARPACK_TOL = 1e-12      # relative residual, so each level is within 1e-12 |E|
 _DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class EdResult:
     n: int
-    ground_energy: float
-    ground_m_z: float       # <sum_i sz_i>/n, averaged over a degenerate ground group
-    parity: str             # eigenvalue sign of prod_i sz_i on the lowest eigenvector
-    gap: float              # first excitation energy E1 - E0 (about 0 if degenerate)
+    ground_energy: float    # lowest level over both parity sectors
+    ground_m_z: float       # <sum_i sz_i>/n, averaged over the degenerate ground group
+    parity: str             # sector of the ground level, EVEN on a cross-sector tie
+    gap: float              # E1 - E0 over both sectors (about 0 if degenerate)
 
 
-def _sz_totals(n: int) -> np.ndarray:
-    states = np.arange(1 << n, dtype=np.int64)
-    ups = np.bitwise_count(states).astype(np.int64)  # uint8 would wrap below zero
-    return (n - 2 * ups).astype(np.float64)  # bit=0 -> sz=+1
-
-
-def _bond_terms(n: int, jx: float, jy: float):
-    """(mask, aligned-amplitude, anti-aligned-amplitude) per ring bond."""
+def _hamiltonian_rows(p: XYParams, n: int, states: np.ndarray, shift: int):
+    """Rows of H on states, a set that every pair flip maps into itself, with
+    state s at index s >> shift: a (len(states), n + 1) array of column
+    indices and one of amplitudes, the diagonal first and then one per bond.
+    H is symmetric, so the flips out of s give the entries of its row."""
+    cols = [states >> shift]
+    amps = [-p.h * (n - 2.0 * np.bitwise_count(states))]  # bit=0 -> sz=+1
     for i in range(n):
         j = (i + 1) % n
-        yield (1 << i) | (1 << j), i, j
+        aligned = (((states >> i) ^ (states >> j)) & 1) == 0
+        cols.append((states ^ ((1 << i) | (1 << j))) >> shift)
+        amps.append(np.where(aligned, p.jy - p.jx, -(p.jx + p.jy)))
+    return np.stack(cols, axis=1), np.stack(amps, axis=1)
+
+
+def _dense(cols: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    dim = len(cols)
+    ham = np.zeros((dim, dim))
+    np.add.at(ham, (np.arange(dim)[:, None], cols), amps)  # n = 2: both bonds flip one pair
+    return ham
 
 
 def spin_hamiltonian_dense(p: XYParams, n: int) -> np.ndarray:
     """Full 2^n x 2^n real symmetric Hamiltonian matrix."""
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    ham = np.zeros((dim, dim))
-    ham[states, states] = -p.h * _sz_totals(n)
-    for mask, i, j in _bond_terms(n, p.jx, p.jy):
-        flipped = states ^ mask
-        aligned = (((states >> i) ^ (states >> j)) & 1) == 0
-        amp = np.where(aligned, p.jy - p.jx, -(p.jx + p.jy))
-        ham[flipped, states] += amp
-    return ham
+    return _dense(*_hamiltonian_rows(p, n, np.arange(1 << n, dtype=np.int64), 0))
 
 
-def _apply_hamiltonian(p: XYParams, n: int, states: np.ndarray, diag: np.ndarray,
-                       vec: np.ndarray) -> np.ndarray:
-    out = diag * vec
-    for mask, i, j in _bond_terms(n, p.jx, p.jy):
-        aligned = (((states >> i) ^ (states >> j)) & 1) == 0
-        amp = np.where(aligned, p.jy - p.jx, -(p.jx + p.jy))
-        out += amp * vec[states ^ mask]
-    return out
+def _sector_levels(p: XYParams, n: int, odd: int, method: str):
+    """Lowest levels of one parity sector and each level's sum_i sz_i."""
+    # the upper n-1 bits index the state; the lowest bit fixes its parity
+    upper = np.arange(1 << (n - 1), dtype=np.int64)
+    states = (upper << 1) | ((np.bitwise_count(upper) & 1) ^ odd)
+    dim = len(states)
+    cols, amps = _hamiltonian_rows(p, n, states, 1)
+    if method == DENSE or dim < _ARPACK_MIN_DIM:
+        import scipy.linalg
 
-
-def _parity_label(n: int, vec: np.ndarray) -> str:
-    states = np.arange(1 << n, dtype=np.int64)
-    odd_bits = (np.bitwise_count(states) & 1).astype(np.float64)
-    signs = 1.0 - 2.0 * odd_bits  # (-1)^(# down spins)
-    return EVEN if float(signs @ (vec * vec)) >= 0.0 else ODD
-
-
-def _dense_ground(p: XYParams, n: int) -> EdResult:
-    ham = spin_hamiltonian_dense(p, n)
-    dim = ham.shape[0]
-    m = min(8, dim)
-    w, v = sla.eigh(ham, subset_by_index=(0, m - 1))
-    sz = _sz_totals(n)
-    group = np.flatnonzero(w - w[0] <= _DEGENERACY_TOL)
-    # eigensolver tie-breaking inside a degenerate group is arbitrary; the
-    # group-averaged m_z is basis-invariant
-    m_z = float(np.mean([(v[:, i] ** 2) @ sz for i in group])) / n
-    gap = float(w[1] - w[0]) if m > 1 else 0.0
-    return EdResult(n, float(w[0]), m_z, _parity_label(n, v[:, 0]), gap)
-
-
-def _lanczos_ground(p: XYParams, n: int) -> EdResult:
-    dim = 1 << n
-    states = np.arange(dim, dtype=np.int64)
-    diag = -p.h * _sz_totals(n)
-    rng = np.random.default_rng(20240917)
-    vec = rng.standard_normal(dim)
-    vec /= np.linalg.norm(vec)
-    basis = [vec]
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = None
-    ritz = None
-    for _ in range(_LANCZOS_BUDGET):
-        work = _apply_hamiltonian(p, n, states, diag, basis[-1])
-        alpha = float(basis[-1] @ work)
-        alphas.append(alpha)
-        work -= alpha * basis[-1]
-        if betas:
-            work -= betas[-1] * basis[-2]
-        span = np.asarray(basis)
-        work -= span.T @ (span @ work)  # full reorthogonalization
-        theta_prev, theta = theta, None
-        ritz, ritz_vecs = sla.eigh_tridiagonal(alphas, betas)
-        theta = float(ritz[0])
-        beta = float(np.linalg.norm(work))
-        if theta_prev is not None and abs(theta - theta_prev) < _LANCZOS_TOL:
-            break
-        if beta < 1e-13:  # Krylov space exhausted: exact invariant subspace
-            break
-        betas.append(beta)
-        basis.append(work / beta)
+        # the block is symmetric, so its transpose is the same matrix in the
+        # Fortran order that LAPACK can overwrite without taking a copy
+        levels, vecs = scipy.linalg.eigh(
+            _dense(cols, amps).T, overwrite_a=True,
+            subset_by_index=(0, min(_DENSE_LEVELS, dim) - 1))
     else:
-        raise NumericalError(
-            f"Lanczos did not converge within {_LANCZOS_BUDGET} iterations",
-            achieved=abs(theta - theta_prev) if theta_prev is not None else None,
-        )
-    ground = np.asarray(basis).T @ ritz_vecs[:, 0]
-    ground /= np.linalg.norm(ground)
-    m_z = float((ground * ground) @ _sz_totals(n)) / n
-    gap = float(ritz[1] - ritz[0]) if len(ritz) > 1 else 0.0
-    return EdResult(n, theta, m_z, _parity_label(n, ground), gap)
+        import scipy.sparse
+        import scipy.sparse.linalg
+
+        indptr = np.arange(0, amps.size + 1, n + 1)
+        ham = scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(dim, dim))
+        v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
+        try:
+            levels, vecs = scipy.sparse.linalg.eigsh(ham, k=2, which="SA", v0=v0,
+                                                   tol=_ARPACK_TOL)
+        except scipy.sparse.linalg.ArpackError as exc:  # includes ArpackNoConvergence
+            raise NumericalError(
+                f"ARPACK failed for {p} at n={n} ({ODD if odd else EVEN} sector): {exc}"
+            ) from exc
+    return levels, (vecs * vecs).T @ (n - 2.0 * np.bitwise_count(states))
 
 
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
     """Ground energy, magnetization, parity and gap of the n-site ring.
 
-    The dense method covers n <= 12 (memory scales as 4^n, ~134 MB at the
-    limit); the matrix-free Lanczos method covers n <= 20. Degenerate ground
-    levels are reported with m_z averaged over the numerically resolved
-    degenerate group; with Lanczos the single converged vector is used (equal
-    by symmetry when the partners sit in opposite parity sectors).
+    Both methods solve the even and odd parity sectors separately and merge
+    their lowest levels, so the gap spans both sectors. The dense method
+    covers n <= 12 (two 2^(n-1) blocks, ~33 MB each at the limit); the sparse
+    ARPACK method covers n <= 20. m_z is averaged over the degenerate ground
+    group among the levels each method keeps (8 per sector dense, 2 ARPACK).
     """
     if not 2 <= n <= _LANCZOS_MAX:
         raise ValueError(f"n must be in 2..{_LANCZOS_MAX}, got {n}")
-    if method == DENSE:
-        if n > _DENSE_MAX:
-            raise ValueError(f"dense method is limited to n <= {_DENSE_MAX}, got {n}")
-        return _dense_ground(p, n)
-    if method == LANCZOS:
-        return _lanczos_ground(p, n)
-    raise ValueError(f"unknown method {method!r}")
+    if method == DENSE and n > _DENSE_MAX:
+        raise ValueError(f"dense method is limited to n <= {_DENSE_MAX}, got {n}")
+    if method not in (DENSE, LANCZOS):
+        raise ValueError(f"unknown method {method!r}")
+    (even, even_sz), (odd, odd_sz) = (_sector_levels(p, n, s, method) for s in (0, 1))
+    levels = np.concatenate([even, odd])
+    order = np.argsort(levels, kind="stable")
+    levels, sz = levels[order], np.concatenate([even_sz, odd_sz])[order]
+    e0 = levels[0]
+    group = levels - e0 <= _DEGENERACY_TOL  # its average m_z does not depend on the basis
+    parity = EVEN if even.min() - e0 <= _DEGENERACY_TOL else ODD
+    return EdResult(n, float(e0), float(np.mean(sz[group])) / n, parity,
+                    float(levels[1] - e0))
 
 
 @dataclass(frozen=True)
@@ -186,9 +155,6 @@ class SectorComparison:
 
 def ed_vs_analytic(p: XYParams, n: int, method: str | None = None) -> SectorComparison:
     """Compare ED against the closed-form sector sums (report, not an assert)."""
-    from .types import ANTIPERIODIC, PERIODIC, build_grid
-    from .xy import xy_ground_energy_finite
-
     if n % 2:
         raise ValueError(f"sector sums need even n, got {n}")
     if method is None:

@@ -1,5 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import xydopo
 
 from xydopo.ed import (
     EVEN,
@@ -8,7 +15,7 @@ from xydopo.ed import (
     ed_vs_analytic,
     spin_hamiltonian_dense,
 )
-from xydopo.types import ANTIPERIODIC, PERIODIC, XYParams, build_grid
+from xydopo.types import ANTIPERIODIC, PERIODIC, NumericalError, XYParams, build_grid
 from xydopo.xy import xy_energy_density, xy_ground_energy_finite, xy_magnetization
 
 
@@ -142,3 +149,89 @@ def test_size_and_method_validation():
         ed_ground_state(XYParams(1, 0, 1), 13, "dense")
     with pytest.raises(ValueError):
         ed_ground_state(XYParams(1, 0, 1), 8, "sparse")
+
+
+def _ring_energy(p, n):
+    """Exact ring ground energy from the parity-resolved Jordan-Wigner sums:
+    the even sector is the antiperiodic sum; the odd sector is the periodic
+    sum, raised by 2 min(|h+js|, |h-js|) when h+js and h-js share a sign."""
+    js = p.jx + p.jy
+    periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
+    anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))
+    if math.copysign(1.0, p.h + js) == math.copysign(1.0, p.h - js):
+        periodic += 2.0 * min(abs(p.h + js), abs(p.h - js))
+    return min(anti, periodic)
+
+
+_RANDOM_CHAIN = tuple(float(j) for j in np.random.default_rng(67).uniform(0.2, 2.0, size=2))
+
+
+@pytest.mark.parametrize("jx,jy", [(2.0, 1.0), (1.0, 1.0), (1.0, 0.0), _RANDOM_CHAIN],
+                         ids=["anisotropic", "isotropic", "ising", "random"])
+def test_ground_energy_matches_parity_resolved_ring_energy(jx, jy):
+    runs = [(n, "dense", np.linspace(-4.0, 4.0, 17)) for n in (4, 6, 8, 10)]
+    runs += [(n, "lanczos", np.linspace(-4.0, 4.0, 9)) for n in (12, 14)]
+    parities = set()
+    for n, method, fields in runs:
+        for h in fields:
+            p = XYParams(jx, jy, float(h))
+            res = ed_ground_state(p, n, method)
+            assert abs(res.ground_energy - _ring_energy(p, n)) < 1e-10, (p, n, method)
+            parities.add(res.parity)
+    if jx == jy:
+        # the isotropic ground state changes sector with h inside this grid,
+        # so a solver that searched one sector only would miss levels here
+        assert parities == {EVEN, ODD}
+
+
+def test_lanczos_ordered_ising_ring_is_exact():
+    p = XYParams(1.0, 0.0, 0.5)
+    res = ed_ground_state(p, 16, "lanczos")
+    assert abs(res.ground_energy - _ring_energy(p, 16)) < 1e-9
+
+
+def test_sector_merge_matches_full_space():
+    """gap, parity and m_z are those of the whole spectrum, not of one sector."""
+    n = 8
+    sz = np.array([n - 2 * bin(s).count("1") for s in range(1 << n)], dtype=float)
+    signs = np.array([(-1) ** bin(s).count("1") for s in range(1 << n)], dtype=float)
+    rng = np.random.default_rng(71)
+    points = [(1.0, 0.0, 0.5), (1.0, 0.0, 2.0), (2.0, 1.0, 1.5), (2.0, 1.0, 4.5),
+              (1.0, 1.0, 0.7), (1.0, 1.0, 3.0)]
+    points += [tuple(rng.uniform(0.1, 2.5, size=2)) + (rng.uniform(-3.0, 3.0),)
+               for _ in range(6)]
+    for point in points:
+        p = XYParams(*point)
+        w, v = np.linalg.eigh(spin_hamiltonian_dense(p, n))
+        assert w[1] - w[0] > 1e-6 and w[2] - w[1] > 1e-6, point  # non-degenerate
+        res = ed_ground_state(p, n)
+        assert res.gap == pytest.approx(w[1] - w[0], abs=1e-10)
+        assert res.parity == (EVEN if signs @ v[:, 0] ** 2 > 0 else ODD)
+        assert res.ground_m_z == pytest.approx(sz @ v[:, 0] ** 2 / n, abs=1e-10)
+
+
+def test_lanczos_is_deterministic():
+    p = XYParams(1.3, 0.4, 0.9)
+    assert ed_ground_state(p, 14, "lanczos") == ed_ground_state(p, 14, "lanczos")
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed by ED only, and ED imports it when a ring is solved
+    src = os.path.dirname(os.path.dirname(xydopo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, xydopo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_lanczos_failure_raises_numerical_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NumericalError, match="n=14"):
+        ed_ground_state(XYParams(1.0, 0.0, 0.5), 14, "lanczos")
