@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from .dopo import dopo_spectrum
@@ -63,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tol", type=float)
     sweep.add_argument("--max-nodes", type=int, dest="max_nodes")
     sweep.add_argument("--outputs", help="comma list from e_g,m_z,chi,phase,gap")
-    sweep.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="sweep parallelism degree (output order is fixed)")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; sweeps run in one process")
     _add_common(sweep)
 
     spectrum = subs.add_parser("spectrum", help="dump E_k or Omega_k^2 over a grid")
@@ -126,7 +125,7 @@ def _cmd_sweep(args) -> int:
         cfg = preset_config(args.preset, **{**raw, **flag_overrides})
     else:
         cfg = config_from_dict({**raw, **flag_overrides})
-    records = run_sweep(cfg, workers=max(1, args.workers))
+    records = run_sweep(cfg)
     with _open_out(args.out) as out:
         if cfg.format == "json":
             write_json(cfg, records, out)

@@ -166,24 +166,19 @@ def dopo_threshold_detunings(p: DopoParams) -> tuple[float, float, float, float]
     return tuple(sorted((-two_j - drive, -two_j + drive, two_j - drive, two_j + drive)))
 
 
-def dopo_classify_phase(p: DopoParams, scan: int = 2001, tol: float = STABILITY_TOL) -> str:
-    """Normal / superradiant / critical from a k-scan of [0, pi].
+def dopo_classify_phase(p: DopoParams, tol: float = STABILITY_TOL) -> str:
+    """Normal / superradiant / critical from the closed-form band minimum.
 
-    superradiant: min_k Omega_k^2 < -tol, or (d2 = 0 boundary) eps_k changes
-    sign strictly inside the band; critical: the spectrum touches zero at the
-    band edge without a sign change; normal otherwise.
+    superradiant: min_k Omega_k^2 < -tol (exactly the points where
+    dopo_energy_density raises), or (d2 = 0 boundary) eps_k changes sign
+    strictly inside its band [delta - 2|j|, delta + 2|j|]; critical: the
+    spectrum touches zero without a sign change; normal otherwise.
     """
-    if scan < 1000:
-        raise ValueError(f"scan must be at least 1000 points, got {scan}")
-    k = np.linspace(0.0, math.pi, scan)
-    eps = dopo_epsilon(p, k)
-    omsq = eps * eps - p.d2
-    m = float(np.min(omsq))
+    m = dopo_band(p).minimum()
     if m < -tol:
         return SUPERRADIANT
-    if p.d2 <= tol and float(np.min(eps)) < -tol and float(np.max(eps)) > tol:
+    if p.d2 <= tol and p.delta - 2.0 * abs(p.j) < -tol and p.delta + 2.0 * abs(p.j) > tol:
         # a zero of eps lies strictly inside the band; Omega^2 = -d2 <= 0 there
-        # even if no scan point lands on it
         return SUPERRADIANT
     if m <= tol:
         return CRITICAL

@@ -117,6 +117,7 @@ def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
     covers n <= 12 (two 2^(n-1) blocks, ~33 MB each at the limit); the sparse
     ARPACK method covers n <= 20. m_z is averaged over the degenerate ground
     group among the levels each method keeps (8 per sector dense, 2 ARPACK).
+    The zero Hamiltonian is answered exactly, without building a block.
     """
     if not 2 <= n <= _LANCZOS_MAX:
         raise ValueError(f"n must be in 2..{_LANCZOS_MAX}, got {n}")
@@ -124,6 +125,10 @@ def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
         raise ValueError(f"dense method is limited to n <= {_DENSE_MAX}, got {n}")
     if method not in (DENSE, LANCZOS):
         raise ValueError(f"unknown method {method!r}")
+    if p.jx == 0.0 and p.jy == 0.0 and p.h == 0.0:
+        # H = 0: every state is a ground state. Each parity sector averages
+        # sum_i sz_i to 0 for n >= 2, so m_z = 0 over the degenerate space.
+        return EdResult(n, 0.0, 0.0, EVEN, 0.0)
     (even, even_sz), (odd, odd_sz) = (_sector_levels(p, n, s, method) for s in (0, 1))
     levels = np.concatenate([even, odd])
     order = np.argsort(levels, kind="stable")

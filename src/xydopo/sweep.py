@@ -12,7 +12,8 @@ density with respect to the sweep's own control parameter.
 
 Flags column tokens:
     critical      nearest grid point to a critical field / detuning in range
-    straddle      the finite-difference window [c-dh, c+dh] contains a critical point
+    straddle      the finite-difference window [c-dh, c+dh] contains a critical field
+                  (xy and mapped sweeps)
     unstable-step derivative omitted because a stencil point was unstable
 
 CSV output uses 12 significant digits and a fixed header, so identical
@@ -23,9 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -60,13 +59,14 @@ from .types import (
     build_grid,
 )
 from .xy import (
+    require_chi_tolerance,
     xy_critical_fields,
     xy_energy_density,
     xy_gap,
-    xy_magnetization,
     xy_phase,
-    xy_susceptibility,
 )
+# unused here, but bench/tracing.py wraps these names on this module by getattr
+from .xy import xy_magnetization, xy_susceptibility  # noqa: F401
 
 CSV_HEADER = "control,h,delta,e_g,m_z,chi,phase,gap,flags"
 OUTPUT_COLUMNS = ("e_g", "m_z", "chi", "phase", "gap")
@@ -188,7 +188,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-point evaluation (top level so worker processes can pickle it)
+# per-point evaluation
 # ---------------------------------------------------------------------------
 
 def _network_gap(p: DopoParams) -> float | None:
@@ -197,147 +197,84 @@ def _network_gap(p: DopoParams) -> float | None:
     return math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
 
 
-def _mapped_density(p: XYParams, h: float, quad: QuadratureSpec) -> float:
-    return dopo_energy_density(map_xy_to_dopo(p.with_h(h)).dopo, quad).value
-
-
-def _evaluate_point(cfg: SweepConfig, control: float) -> SweepRecord:
-    wants = set(cfg.outputs)
+def _point_model(cfg: SweepConfig, c: float):
+    """What the evaluator takes from cfg's model at control c: the energy
+    density as a function of the control, the phase and the gap (both
+    deferred until asked for), and the record's axes (h and/or delta)."""
+    quad = cfg.quad
     if cfg.model == "xy":
-        return _xy_point(cfg, control, wants)
+        p = cfg.params.with_h(c)
+        return (lambda x: xy_energy_density(p.with_h(x), quad).value,
+                lambda: xy_phase(p), lambda: xy_gap(p), {"h": c})
     if cfg.model == "dopo":
-        return _dopo_point(cfg, control, wants)
-    return _mapped_point(cfg, control, wants)
+        p = cfg.params.with_delta(c)
+        return (lambda x: dopo_energy_density(p.with_delta(x), quad).value,
+                lambda: dopo_classify_phase(p), lambda: _network_gap(p), {"delta": c})
+    p = cfg.params.with_h(c)
+    network = map_xy_to_dopo(p).dopo
+    return (lambda x: dopo_energy_density(map_xy_to_dopo(p.with_h(x)).dopo, quad).value,
+            lambda: _PHASE_TRANSLATION[xy_phase(p)], lambda: _network_gap(network),
+            {"h": c, "delta": network.delta})
 
 
-def _xy_point(cfg: SweepConfig, h: float, wants: set) -> SweepRecord:
-    p = cfg.params.with_h(h)
+def _evaluate_point(cfg: SweepConfig, c: float) -> SweepRecord:
+    """One record from the stencil e(c - dh), e(c), e(c + dh), computing each
+    energy at most once and only when a requested column uses it."""
+    wants = set(cfg.outputs)
+    energy, phase, gap, axes = _point_model(cfg, c)
+    dh = cfg.dh
+    derivatives = wants & {"m_z", "chi"}
+    if "chi" in wants and cfg.model == "xy":
+        require_chi_tolerance(cfg.quad, dh)
+
+    def stable_energy(x: float) -> float | None:
+        try:
+            return energy(x)
+        except UnstablePhaseError:
+            return None  # an unstable network has no ground-state energy
+
+    mid = stable_energy(c) if wants & {"e_g", "chi"} else None
+    lo, hi = (stable_energy(c - dh), stable_energy(c + dh)) if derivatives else (None, None)
+    m_z = chi = None
+    if "m_z" in wants and None not in (lo, hi):
+        m_z = -(hi - lo) / (2.0 * dh)
+    if "chi" in wants and None not in (lo, mid, hi):
+        chi = -(hi - 2.0 * mid + lo) / (dh * dh)
     flags = []
-    e_g = m_z = chi = gap = None
-    if "e_g" in wants:
-        e_g = xy_energy_density(p, cfg.quad).value
-    if "m_z" in wants:
-        deriv = xy_magnetization(p, cfg.quad, cfg.dh)
-        m_z = deriv.value
-        if deriv.straddles_critical:
-            flags.append("straddle")
-    if "chi" in wants:
-        deriv = xy_susceptibility(p, cfg.quad, cfg.dh)
-        chi = deriv.value
-        if deriv.straddles_critical and "straddle" not in flags:
-            flags.append("straddle")
-    if "gap" in wants:
-        gap = xy_gap(p)
-    phase = xy_phase(p) if "phase" in wants else None
-    return SweepRecord(control=h, h=h, e_g=e_g, m_z=m_z, chi=chi, phase=phase,
-                       gap=gap, flags=";".join(flags))
-
-
-def _dopo_point(cfg: SweepConfig, delta: float, wants: set) -> SweepRecord:
-    p = cfg.params.with_delta(delta)
-    flags = []
-    e_g = m_z = chi = gap = None
-    phase = dopo_classify_phase(p) if "phase" in wants else None
-
-    def density(d: float) -> float:
-        return dopo_energy_density(p.with_delta(d), cfg.quad).value
-
-    if "e_g" in wants:
-        try:
-            e_g = density(delta)
-        except UnstablePhaseError:
-            phase = SUPERRADIANT  # unstable points report the phase, not an abort
-    if "m_z" in wants or "chi" in wants:
-        try:
-            e_plus, e_minus = density(delta + cfg.dh), density(delta - cfg.dh)
-            if "m_z" in wants:
-                m_z = -(e_plus - e_minus) / (2.0 * cfg.dh)
-            if "chi" in wants:
-                chi = -(e_plus - 2.0 * density(delta) + e_minus) / cfg.dh ** 2
-        except UnstablePhaseError:
-            flags.append("unstable-step")
-    if "gap" in wants:
-        gap = _network_gap(p)
-    return SweepRecord(control=delta, delta=delta, e_g=e_g, m_z=m_z, chi=chi,
-                       phase=phase, gap=gap, flags=";".join(flags))
-
-
-def _mapped_point(cfg: SweepConfig, h: float, wants: set) -> SweepRecord:
-    p = cfg.params.with_h(h)
-    mapped = map_xy_to_dopo(p)
-    flags = []
-    e_g = m_z = chi = gap = None
-    phase = _PHASE_TRANSLATION[xy_phase(p)] if "phase" in wants else None
-    if "e_g" in wants:
-        try:
-            e_g = dopo_energy_density(mapped.dopo, cfg.quad).value
-        except UnstablePhaseError:
-            phase = SUPERRADIANT
-    if "m_z" in wants or "chi" in wants:
-        try:
-            e_plus = _mapped_density(cfg.params, h + cfg.dh, cfg.quad)
-            e_minus = _mapped_density(cfg.params, h - cfg.dh, cfg.quad)
-            if "m_z" in wants:
-                m_z = -(e_plus - e_minus) / (2.0 * cfg.dh)
-            if "chi" in wants:
-                mid = _mapped_density(cfg.params, h, cfg.quad)
-                chi = -(e_plus - 2.0 * mid + e_minus) / cfg.dh ** 2
-        except UnstablePhaseError:
-            flags.append("unstable-step")
-        if any(abs(h - hc) < cfg.dh for hc, _ in _critical_controls_xy(cfg.params)):
-            flags.append("straddle")
-    if "gap" in wants:
-        gap = _network_gap(mapped.dopo)
-    return SweepRecord(control=h, h=h, delta=mapped.dopo.delta, e_g=e_g, m_z=m_z,
-                       chi=chi, phase=phase, gap=gap, flags=";".join(flags))
-
-
-def _critical_controls_xy(p: XYParams) -> tuple[tuple[float, float], ...]:
-    try:
-        return xy_critical_fields(p).values
-    except DegenerateModelError:
-        return ()
+    if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
+        flags.append("unstable-step")
+    if derivatives and cfg.model != "dopo" \
+            and any(abs(c - crit) < dh for crit in _critical_controls(cfg)):
+        flags.append("straddle")
+    return SweepRecord(control=c, **axes, e_g=mid if "e_g" in wants else None,
+                       m_z=m_z, chi=chi, phase=phase() if "phase" in wants else None,
+                       gap=gap() if "gap" in wants else None, flags=";".join(flags))
 
 
 def _critical_controls(cfg: SweepConfig) -> list[float]:
-    if cfg.model in ("xy", "mapped"):
-        return [hc for hc, _ in _critical_controls_xy(cfg.params)]
     try:
+        if cfg.model in ("xy", "mapped"):
+            return [hc for hc, _ in xy_critical_fields(cfg.params).values]
         return list(dopo_threshold_detunings(cfg.params))
-    except NonphysicalDriveError:
+    except (DegenerateModelError, NonphysicalDriveError):
         return []
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
     """Stream one record per control point, in control order.
 
-    workers > 1 evaluates points in a process pool; output order and values
-    do not depend on the worker count.
+    Points are evaluated one after another in this process; workers is
+    accepted for compatibility and ignored.
     """
     cfg.validate()
     controls = cfg.controls()
-    flagged = {}
-    for crit in _critical_controls(cfg):
-        if cfg.start <= crit <= cfg.stop:
-            idx = int(np.argmin(np.abs(controls - crit)))
-            flagged[idx] = "critical"
-
-    def finalize(idx: int, record: SweepRecord) -> SweepRecord:
+    flagged = {int(np.argmin(np.abs(controls - crit)))
+               for crit in _critical_controls(cfg) if cfg.start <= crit <= cfg.stop}
+    for idx, control in enumerate(controls):
+        record = _evaluate_point(cfg, float(control))
         if idx in flagged:
-            joined = ";".join(t for t in (flagged[idx], record.flags) if t)
-            record = SweepRecord(**{**record.__dict__, "flags": joined})
-        return record
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, record in enumerate(
-                pool.map(partial(_evaluate_point, cfg), controls,
-                         chunksize=max(1, len(controls) // (4 * workers)))
-            ):
-                yield finalize(idx, record)
-    else:
-        for idx, control in enumerate(controls):
-            yield finalize(idx, _evaluate_point(cfg, float(control)))
+            record = replace(record, flags=";".join(t for t in ("critical", record.flags) if t))
+        yield record
 
 
 # ---------------------------------------------------------------------------

@@ -106,22 +106,27 @@ def xy_magnetization(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
     return FieldDerivative(-(e_plus - e_minus) / (2.0 * dh), _straddles(p, dh))
 
 
-def xy_susceptibility(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
-                      dh: float = 1e-3) -> FieldDerivative:
-    """chi = -d2 e_g/dh2 by central second difference.
-
-    The quadrature tolerance must satisfy tol <= dh^2 * 1e-3, otherwise the
-    difference quotient would be noise-dominated and a NumericalError is
-    raised up front.
-    """
-    if not dh > 0:
-        raise ValueError("dh must be positive")
+def require_chi_tolerance(quad: QuadratureSpec, dh: float) -> None:
+    """Raise NumericalError unless tol <= dh^2 * 1e-3: with a looser
+    quadrature the second difference quotient would be noise-dominated."""
     if quad.tol > dh * dh * 1e-3:
         raise NumericalError(
             f"quadrature tol {quad.tol:g} too loose for dh={dh:g}; "
             f"need tol <= {dh * dh * 1e-3:g}",
             achieved=quad.tol,
         )
+
+
+def xy_susceptibility(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
+                      dh: float = 1e-3) -> FieldDerivative:
+    """chi = -d2 e_g/dh2 by central second difference.
+
+    The quadrature tolerance must satisfy tol <= dh^2 * 1e-3 (see
+    require_chi_tolerance), checked up front.
+    """
+    if not dh > 0:
+        raise ValueError("dh must be positive")
+    require_chi_tolerance(quad, dh)
     e_plus = xy_energy_density(p.with_h(p.h + dh), quad).value
     e_mid = xy_energy_density(p, quad).value
     e_minus = xy_energy_density(p.with_h(p.h - dh), quad).value

@@ -15,6 +15,7 @@ from xydopo.dopo import (
     dopo_zero_point_energy,
 )
 from xydopo.mapping import map_xy_to_dopo
+from xydopo.quadrature import QuadratureSpec
 from xydopo.xy import xy_energy_density
 from xydopo.types import (
     CRITICAL,
@@ -148,9 +149,26 @@ def test_classify_examples():
     assert dopo_classify_phase(DopoParams(2.0, -5.0, 1.0)) == CRITICAL
 
 
-def test_classify_scan_precondition():
-    with pytest.raises(ValueError):
-        dopo_classify_phase(DopoParams(2.0, -6.0, 0.0), scan=500)
+def test_classify_superradiant_wherever_the_energy_density_is_unstable():
+    # a weak drive opens a narrow unstable dip inside the band, with minimum
+    # Omega^2 = -d2; (0.5, -0.968, 1e-8) is one such point
+    points = [DopoParams(0.5, -0.968, 1e-8)] + [
+        DopoParams(j, delta, d2)
+        for d2 in (0.0, 1e-12, 1e-8, 1e-6, 1.0, 4.0)
+        for j in (0.0, 0.5, 1.0, 2.0)
+        for delta in np.linspace(-8.0, 8.0, 401)
+    ]
+    loose = QuadratureSpec(tol=1e-3)  # only whether it raises matters here
+    wrong = []
+    for p in points:
+        try:
+            dopo_energy_density(p, loose)
+        except UnstablePhaseError:
+            if dopo_classify_phase(p) != SUPERRADIANT:
+                wrong.append(p)
+    assert not wrong, wrong[:5]
+    with pytest.raises(UnstablePhaseError):
+        dopo_energy_density(points[0])
 
 
 def test_classify_zero_drive_boundary():

@@ -116,6 +116,13 @@ def test_degenerate_ground_is_deterministic():
     assert abs(a.ground_m_z) <= 1.0
 
 
+@pytest.mark.parametrize("n, method", [(8, "dense"), (14, "lanczos")])
+def test_zero_hamiltonian_is_exact(n, method):
+    # every state is a ground state; m_z is the average over that whole space
+    res = ed_ground_state(XYParams(0.0, 0.0, 0.0), n, method)
+    assert (res.ground_energy, res.ground_m_z, res.parity, res.gap) == (0.0, 0.0, EVEN, 0.0)
+
+
 def test_lanczos_matches_dense():
     rng = np.random.default_rng(61)
     for _ in range(4):

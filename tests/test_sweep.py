@@ -168,6 +168,47 @@ def test_dopo_sweep_derivative_steps_near_instability():
     assert "unstable-step" in records[1].flags
 
 
+def test_unrequested_phase_stays_empty():
+    dopo = config_from_dict(dict(model="dopo", j=2.0, d2=1.0, start=-6.0, stop=-4.0,
+                                 steps=5, outputs="e_g"))
+    records = list(run_sweep(dopo))
+    assert records[3].e_g is None and records[4].e_g is None   # unstable network
+    assert all(r.phase is None for r in records)
+    mapped = config_from_dict(dict(model="mapped", jx=1.0, jy=1.0, start=0.0, stop=4.0,
+                                   steps=9, outputs="e_g,m_z,chi,gap"))
+    assert all(r.phase is None for r in run_sweep(mapped))
+
+
+@pytest.mark.parametrize("raw", [
+    dict(model="xy", jx=2.0, jy=1.0, start=0.0, stop=6.0),
+    dict(model="dopo", j=2.0, d2=1.0, start=-8.0, stop=-2.0),
+    dict(model="mapped", jx=2.0, jy=1.0, start=0.0, stop=6.0),
+], ids=["xy", "dopo", "mapped"])
+def test_each_stencil_energy_computed_once(monkeypatch, raw):
+    import xydopo.dopo
+    import xydopo.sweep
+    import xydopo.xy
+
+    # count at the sweep's lookup names and at the defining modules' names,
+    # which the chain derivatives in xydopo.xy go through
+    calls = []
+    for module, name in ((xydopo.sweep, "xy_energy_density"), (xydopo.xy, "xy_energy_density"),
+                         (xydopo.sweep, "dopo_energy_density"),
+                         (xydopo.dopo, "dopo_energy_density")):
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            calls.append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg = config_from_dict(dict(raw, steps=7, outputs="e_g,m_z,chi,phase,gap"))
+    per_record = []
+    for _ in run_sweep(cfg):
+        per_record.append(len(calls))
+        calls.clear()
+    assert len(per_record) == 7 and sum(per_record) > 0
+    assert max(per_record) <= 3, per_record
+
+
 def test_workers_do_not_change_output():
     cfg = small_xy_config(steps=7)
     serial = list(run_sweep(cfg, workers=1))
