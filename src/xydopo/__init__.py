@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .types import (
     ANTIPERIODIC,
-    CONTINUUM,
     CRITICAL,
     NORMAL,
     ORDERED,

@@ -13,7 +13,6 @@ import sys
 
 from .dopo import dopo_spectrum
 from .mapping import map_dopo_to_xy, map_xy_to_dopo
-from .quadrature import QuadratureSpec
 from .sweep import (
     PRESETS,
     ConfigError,
@@ -111,6 +110,12 @@ def _open_out(path: str):
             yield handle
 
 
+def _emit(args, payload, text: str) -> None:
+    """Write payload as one JSON line under --format json, else text and a newline."""
+    with _open_out(args.out) as out:
+        out.write((json.dumps(payload) if args.format == "json" else text) + "\n")
+
+
 _SWEEP_KEYS = ("model", "jx", "jy", "j", "d2", "start", "stop", "steps",
                "dh", "tol", "max_nodes", "outputs", "format")
 
@@ -144,14 +149,8 @@ def _cmd_spectrum(args) -> int:
         if args.j is None or args.delta is None:
             raise ConfigError("spectrum --model dopo needs --j and --delta")
         spec = dopo_spectrum(DopoParams(args.j, args.delta, args.d2), grid)
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            json.dump({"k": list(spec.k), "value": list(spec.value), "kind": spec.kind}, out)
-            out.write("\n")
-        else:
-            out.write("k,value\n")
-            for k, v in zip(spec.k, spec.value):
-                out.write(f"{k:.12g},{v:.12g}\n")
+    _emit(args, {"k": list(spec.k), "value": list(spec.value), "kind": spec.kind},
+          "\n".join(["k,value"] + [f"{k:.12g},{v:.12g}" for k, v in zip(spec.k, spec.value)]))
     return 0
 
 
@@ -160,30 +159,19 @@ def _cmd_map(args) -> int:
         if args.j is None or args.delta is None or args.d2 is None or args.h is None:
             raise ConfigError("map --invert needs --j, --delta, --d2 and --h")
         back = map_dopo_to_xy(DopoParams(args.j, args.delta, args.d2), args.h)
-        payload = (None if back is None
-                   else {"jx": back.jx, "jy": back.jy, "h": back.h})
-        with _open_out(args.out) as out:
-            if args.format == "json":
-                json.dump({"xy": payload}, out)
-                out.write("\n")
-            elif payload is None:
-                out.write("no-solution\n")
-            else:
-                out.write("jx,jy,h\n")
-                out.write(f"{back.jx:.12g},{back.jy:.12g},{back.h:.12g}\n")
-        return 0 if payload is not None else 1
+        if back is None:
+            _emit(args, {"xy": None}, "no-solution")
+            return 1
+        _emit(args, {"xy": {"jx": back.jx, "jy": back.jy, "h": back.h}},
+              f"jx,jy,h\n{back.jx:.12g},{back.jy:.12g},{back.h:.12g}")
+        return 0
     if args.jx is None or args.jy is None or args.h is None:
         raise ConfigError("map needs --jx, --jy and --h")
     res = map_xy_to_dopo(XYParams(args.jx, args.jy, args.h))
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            json.dump({"dopo": {"j": res.dopo.j, "delta": res.dopo.delta,
-                                "d2": res.dopo.d2}, "physical": res.physical}, out)
-            out.write("\n")
-        else:
-            out.write("j,delta,d2,physical\n")
-            out.write(f"{res.dopo.j:.12g},{res.dopo.delta:.12g},"
-                      f"{res.dopo.d2:.12g},{str(res.physical).lower()}\n")
+    d = res.dopo
+    _emit(args, {"dopo": {"j": d.j, "delta": d.delta, "d2": d.d2}, "physical": res.physical},
+          f"j,delta,d2,physical\n{d.j:.12g},{d.delta:.12g},{d.d2:.12g},"
+          f"{str(res.physical).lower()}")
     return 0
 
 
@@ -194,23 +182,13 @@ def _cmd_critical(args) -> int:
         report = run_critical(XYParams(args.jx, args.jy, 0.0))
     else:
         raise ConfigError("critical needs either --jx/--jy or --j [--d2]")
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            json.dump(report, out)
-            out.write("\n")
-        else:
-            out.write(format_critical(report) + "\n")
+    _emit(args, report, format_critical(report))
     return 0
 
 
 def _cmd_validate(args) -> int:
     report = run_validate(args.level)
-    with _open_out(args.out) as out:
-        if args.format == "json":
-            json.dump(report.to_dict(), out)
-            out.write("\n")
-        else:
-            out.write(report.format_text() + "\n")
+    _emit(args, report.to_dict(), report.format_text())
     return 0 if report.passed else 1
 
 

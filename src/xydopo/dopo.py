@@ -60,8 +60,6 @@ def dopo_band(p: DopoParams) -> CosBand:
 
 def dopo_spectrum(p: DopoParams, grid: MomentumGrid) -> Spectrum:
     """Omega_k^2 on every point of a discrete grid."""
-    if grid.is_continuum:
-        raise ValueError("dopo_spectrum needs a discrete grid, got the continuum marker")
     return Spectrum(grid.points, dopo_omega_squared(p, grid.points),
                     kind=SPECTRUM_OMEGA_SQUARED)
 
@@ -72,8 +70,6 @@ def dopo_zero_point_energy(p: DopoParams, grid: MomentumGrid) -> float:
     Every grid mode must be stable (Omega_k^2 >= 0); otherwise an
     UnstablePhaseError carrying the offending k values is raised.
     """
-    if grid.is_continuum:
-        raise ValueError("zero-point energy needs a discrete grid")
     omsq = dopo_omega_squared(p, grid.points)
     bad = omsq < 0.0
     if np.any(bad):

@@ -105,8 +105,6 @@ def verify_spectral_match(p: XYParams, grid: MomentumGrid) -> float:
     The identity is exact, so the residual is floating rounding only; the
     signed-d2 convention keeps it total even where d2 < 0.
     """
-    if grid.is_continuum:
-        raise ValueError("spectral match needs a discrete grid")
     mapped = map_xy_to_dopo(p)
     e_sq = np.asarray(xy.xy_dispersion(p, grid.points)) ** 2
     om_sq = np.asarray(dopo.dopo_omega_squared(mapped.dopo, grid.points))

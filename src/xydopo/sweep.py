@@ -10,21 +10,22 @@ dual-axis figures use, while ``dopo`` sweeps classify from the spectrum
 itself. Derivative columns m_z and chi always differentiate the energy
 density with respect to the sweep's own control parameter.
 
-Flags column tokens:
+Flags column tokens, in the order they appear:
     critical      nearest grid point to a critical field / detuning in range
+    unstable-step derivative omitted because a stencil point was unstable
     straddle      the finite-difference window [c-dh, c+dh] contains a critical field
                   (xy and mapped sweeps)
-    unstable-step derivative omitted because a stencil point was unstable
 
-CSV output uses 12 significant digits and a fixed header, so identical
-configurations give byte-identical files.
+SweepRecord's fields, in order, are the CSV columns and the JSON keys. CSV
+uses 12 significant digits, so identical configurations give identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -36,7 +37,6 @@ from .dopo import (
     dopo_classify_phase,
     dopo_critical_detuning,
     dopo_energy_density,
-    dopo_omega_squared,
     dopo_threshold_detunings,
 )
 from .ed import ed_ground_state, ed_vs_analytic
@@ -66,9 +66,12 @@ from .xy import (
     xy_phase,
 )
 # unused here, but bench/tracing.py wraps these names on this module by getattr
+from .dopo import dopo_omega_squared  # noqa: F401
 from .xy import xy_magnetization, xy_susceptibility  # noqa: F401
 
-CSV_HEADER = "control,h,delta,e_g,m_z,chi,phase,gap,flags"
+_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
+_record_values = attrgetter(*_RECORD_FIELDS)  # one tuple per record, no deep copy
+CSV_HEADER = ",".join(_RECORD_FIELDS)
 OUTPUT_COLUMNS = ("e_g", "m_z", "chi", "phase", "gap")
 MODELS = ("xy", "dopo", "mapped")
 
@@ -192,8 +195,8 @@ def config_from_dict(raw: dict) -> SweepConfig:
 # ---------------------------------------------------------------------------
 
 def _network_gap(p: DopoParams) -> float | None:
-    """min_k Omega_k, at the closed-form minimum of the band; None when a mode is unstable."""
-    min_omsq = float(dopo_omega_squared(p, math.acos(dopo_band(p).argmin())))
+    """min_k Omega_k from the closed-form band minimum; None when a mode is unstable."""
+    min_omsq = dopo_band(p).minimum()
     return math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
 
 
@@ -217,9 +220,11 @@ def _point_model(cfg: SweepConfig, c: float):
             {"h": c, "delta": network.delta})
 
 
-def _evaluate_point(cfg: SweepConfig, c: float) -> SweepRecord:
+def _evaluate_point(cfg: SweepConfig, c: float, critical: list[float],
+                    nearest_critical: bool) -> SweepRecord:
     """One record from the stencil e(c - dh), e(c), e(c + dh), computing each
-    energy at most once and only when a requested column uses it."""
+    energy at most once and only when a requested column uses it; critical
+    lists the sweep's critical controls, nearest_critical flags this point."""
     wants = set(cfg.outputs)
     energy, phase, gap, axes = _point_model(cfg, c)
     dh = cfg.dh
@@ -240,11 +245,11 @@ def _evaluate_point(cfg: SweepConfig, c: float) -> SweepRecord:
         m_z = -(hi - lo) / (2.0 * dh)
     if "chi" in wants and None not in (lo, mid, hi):
         chi = -(hi - 2.0 * mid + lo) / (dh * dh)
-    flags = []
+    flags = ["critical"] if nearest_critical else []
     if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
         flags.append("unstable-step")
     if derivatives and cfg.model != "dopo" \
-            and any(abs(c - crit) < dh for crit in _critical_controls(cfg)):
+            and any(abs(c - crit) < dh for crit in critical):
         flags.append("straddle")
     return SweepRecord(control=c, **axes, e_g=mid if "e_g" in wants else None,
                        m_z=m_z, chi=chi, phase=phase() if "phase" in wants else None,
@@ -268,13 +273,11 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
     """
     cfg.validate()
     controls = cfg.controls()
+    critical = _critical_controls(cfg)
     flagged = {int(np.argmin(np.abs(controls - crit)))
-               for crit in _critical_controls(cfg) if cfg.start <= crit <= cfg.stop}
+               for crit in critical if cfg.start <= crit <= cfg.stop}
     for idx, control in enumerate(controls):
-        record = _evaluate_point(cfg, float(control))
-        if idx in flagged:
-            record = replace(record, flags=";".join(t for t in ("critical", record.flags) if t))
-        yield record
+        yield _evaluate_point(cfg, float(control), critical, idx in flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +295,7 @@ def _cell(value) -> str:
 def write_csv(records: Iterable[SweepRecord], out: TextIO) -> None:
     out.write(CSV_HEADER + "\n")
     for r in records:
-        out.write(",".join(_cell(v) for v in (
-            r.control, r.h, r.delta, r.e_g, r.m_z, r.chi, r.phase, r.gap, r.flags
-        )) + "\n")
+        out.write(",".join(map(_cell, _record_values(r))) + "\n")
 
 
 def _meta(cfg: SweepConfig) -> dict:
@@ -315,11 +316,7 @@ def write_json(cfg: SweepConfig, records: Iterable[SweepRecord], out: TextIO) ->
     for i, r in enumerate(records):
         if i:
             out.write(", ")
-        json.dump({
-            "control": r.control, "h": r.h, "delta": r.delta, "e_g": r.e_g,
-            "m_z": r.m_z, "chi": r.chi, "phase": r.phase, "gap": r.gap,
-            "flags": r.flags,
-        }, out)
+        json.dump(dict(zip(_RECORD_FIELDS, _record_values(r))), out)
     out.write("]}\n")
 
 

@@ -127,18 +127,11 @@ class DopoParams:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Discrete momentum points in (-pi, pi], or the continuum marker (n is None)."""
+    """The n discrete momentum points in (-pi, pi] of one boundary sector."""
 
-    n: int | None
-    sector: str | None
-    points: np.ndarray | None = field(default=None, compare=False)
-
-    @property
-    def is_continuum(self) -> bool:
-        return self.n is None
-
-
-CONTINUUM = MomentumGrid(None, None, None)
+    n: int
+    sector: str
+    points: np.ndarray = field(compare=False)
 
 
 def build_grid(n: int, sector: str = PERIODIC) -> MomentumGrid:

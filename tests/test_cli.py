@@ -134,3 +134,34 @@ def test_validate_json(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["checks"]
+
+
+@pytest.mark.parametrize("argv, keys, first_line, code", [
+    (["spectrum", "--model", "xy", "--jx", "1", "--jy", "0.5", "--h", "0.7", "--n", "8"],
+     ["k", "value", "kind"], "k,value", 0),
+    (["spectrum", "--model", "dopo", "--j", "2", "--delta", "-3", "--d2", "4", "--n", "8"],
+     ["k", "value", "kind"], "k,value", 0),
+    (["map", "--jx", "2", "--jy", "1", "--h", "3"],
+     ["dopo", "physical"], "j,delta,d2,physical", 0),
+    (["map", "--invert", "--j", "2", "--delta", "-2", "--d2", "0", "--h", "1"],
+     ["xy"], "jx,jy,h", 0),
+    (["map", "--invert", "--j", "2", "--delta", "-5", "--d2", "-1", "--h", "1"],
+     ["xy"], "no-solution", 1),
+    (["critical", "--jx", "2", "--jy", "1"],
+     ["model", "model_case", "critical_fields", "mapped"], "model case: anisotropic", 0),
+    (["critical", "--j", "2", "--d2", "1"],
+     ["model", "delta_c", "thresholds"], "delta_c = -5", 0),
+    (["validate", "--level", "quick"],
+     ["level", "passed", "checks"], "[ok] grid cosine sums: ", 0),
+], ids=["spectrum-xy", "spectrum-dopo", "map-forward", "map-invert", "map-no-solution",
+        "critical-xy", "critical-dopo", "validate-quick"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_command_output_contract(capsys, argv, keys, first_line, code, fmt):
+    if fmt == "json":
+        got, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert list(json.loads(out)) == keys
+    else:
+        got, out, _ = run_cli(capsys, *argv)
+        assert out.splitlines()[0].startswith(first_line)
+    assert got == code

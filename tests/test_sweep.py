@@ -147,6 +147,17 @@ def test_mapped_sweep_gap_closed_in_the_gapless_window():
     assert gaps[4] == pytest.approx(2.0 * (2.7 - 2.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("raw", [
+    dict(model="mapped", jx=1.0, jy=1.0, start=0.0, stop=2.0),
+    dict(model="dopo", j=1.0, d2=0.0, start=-2.0, stop=2.0),
+], ids=["mapped-isotropic", "dopo-undriven"])
+def test_gapless_network_gap_is_exactly_zero(raw):
+    # the band closes at a kink for every control here; the gap is the
+    # closed-form band minimum, not Omega^2 evaluated at arccos(argmin)
+    gaps = [r.gap for r in run_sweep(config_from_dict(dict(raw, steps=201, outputs="gap")))]
+    assert gaps == [0.0] * 201
+
+
 def test_dopo_sweep_unstable_points_keep_streaming():
     cfg = config_from_dict(dict(model="dopo", j=2.0, d2=1.0, start=-6.0, stop=-4.0,
                                 steps=5, outputs="e_g,phase"))
@@ -241,6 +252,16 @@ def test_csv_header_and_determinism():
     cells = lines[2].split(",")
     assert cells[2] == "" and cells[7] == ""
     assert len(cells) == 9
+
+
+def test_record_schema_is_pinned():
+    # the literal, not CSV_HEADER: a reordered SweepRecord must fail here
+    columns = ["control", "h", "delta", "e_g", "m_z", "chi", "phase", "gap", "flags"]
+    assert CSV_HEADER == ",".join(columns)
+    cfg = small_xy_config(steps=2)
+    buf = io.StringIO()
+    write_json(cfg, run_sweep(cfg), buf)
+    assert [list(r) for r in json.loads(buf.getvalue())["records"]] == [columns, columns]
 
 
 def test_csv_twelve_digit_format():

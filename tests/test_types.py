@@ -5,7 +5,6 @@ import pytest
 
 from xydopo.types import (
     ANTIPERIODIC,
-    CONTINUUM,
     PERIODIC,
     DopoParams,
     NonphysicalDriveError,
@@ -65,11 +64,6 @@ def test_grid_points_read_only():
     g = build_grid(4)
     with pytest.raises(ValueError):
         g.points[0] = 0.0
-
-
-def test_continuum_marker():
-    assert CONTINUUM.is_continuum
-    assert not build_grid(4).is_continuum
 
 
 def test_xy_params_derived_quantities():

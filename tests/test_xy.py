@@ -6,7 +6,6 @@ from scipy.integrate import quad as scipy_quad
 
 from xydopo.quadrature import Integral, QuadratureSpec, integrate
 from xydopo.types import (
-    CONTINUUM,
     CRITICAL,
     ORDERED,
     PARAMAGNETIC,
@@ -69,11 +68,6 @@ def test_spectrum_two_site():
     spec = xy_spectrum(XYParams(2.0, 1.0, 3.0), build_grid(2))
     np.testing.assert_allclose(spec.k, [0.0, np.pi], atol=1e-15)
     np.testing.assert_allclose(spec.value, [12.0, 0.0], atol=1e-13)
-
-
-def test_spectrum_rejects_continuum():
-    with pytest.raises(ValueError):
-        xy_spectrum(XYParams(1.0, 0.0, 0.0), CONTINUUM)
 
 
 def test_ground_energy_finite():
