@@ -35,6 +35,7 @@ from .xy import (
     xy_energy_density,
     xy_gap,
     xy_ground_energy_finite,
+    xy_ground_energy_ring,
     xy_magnetization,
     xy_phase,
     xy_spectrum,

@@ -15,7 +15,11 @@ each parity sector is a closed block of 2^(n-1) states, solved on its own and
 merged afterwards. The dense method diagonalizes each block as a full matrix
 (about 33 MB per block at n = 12, the dense limit); the Lanczos method runs
 ARPACK's implicitly restarted Lanczos (scipy's eigsh) on the sparse block and
-goes to n = 20. scipy is imported only when a ring is solved.
+goes to n = 20. ed_ground_state stays dense unless asked otherwise; callers that
+leave the choice to this module (ed_vs_analytic, validate) get dense to n = 8
+and ARPACK above, where it is faster: at n = 12, about 1.6 s dense against
+0.015 s ARPACK on one BLAS thread of a 2-vCPU x86 host, with energies equal to
+about 1e-13. scipy is imported only when a ring is solved.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ EVEN = "even"
 ODD = "odd"
 
 _DENSE_MAX = 12
+_DENSE_DEFAULT_MAX = 8   # blocks of up to 128 states, where dense beats ARPACK
 _LANCZOS_MAX = 20
 _DENSE_LEVELS = 8        # lowest levels kept per block by the dense method
 _ARPACK_MIN_DIM = 64     # blocks near ARPACK's 20-vector Krylov space or below go dense
@@ -109,6 +114,11 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
     return levels, (vecs * vecs).T @ (n - 2.0 * np.bitwise_count(states))
 
 
+def _default_method(n: int) -> str:
+    """The solver for an n-site ring when the caller names none."""
+    return DENSE if n <= _DENSE_DEFAULT_MAX else LANCZOS
+
+
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
     """Ground energy, magnetization, parity and gap of the n-site ring.
 
@@ -159,11 +169,12 @@ class SectorComparison:
 
 
 def ed_vs_analytic(p: XYParams, n: int, method: str | None = None) -> SectorComparison:
-    """Compare ED against the closed-form sector sums (report, not an assert)."""
+    """Compare ED against the closed-form sector sums (report, not an assert).
+    With no method, rings of up to 8 sites are solved dense, larger ones on ARPACK."""
     if n % 2:
         raise ValueError(f"sector sums need even n, got {n}")
     if method is None:
-        method = DENSE if n <= _DENSE_MAX else LANCZOS
+        method = _default_method(n)
     ed = ed_ground_state(p, n, method)
     periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
     anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))

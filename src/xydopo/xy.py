@@ -22,15 +22,18 @@ import numpy as np
 from .band import CosBand
 from .quadrature import Integral, QuadratureSpec, integrate
 from .types import (
+    ANTIPERIODIC,
     CRITICAL,
     ORDERED,
     PARAMAGNETIC,
+    PERIODIC,
     DegenerateModelError,
     MomentumGrid,
     NumericalError,
     Spectrum,
     UnsupportedParameterError,
     XYParams,
+    build_grid,
 )
 
 ISOTROPIC = "isotropic"
@@ -58,6 +61,19 @@ def xy_spectrum(p: XYParams, grid: MomentumGrid) -> Spectrum:
 def xy_ground_energy_finite(p: XYParams, grid: MomentumGrid) -> float:
     """Total (not per-site) ground energy -(1/2) sum_k E_k on a discrete grid."""
     return -0.5 * float(np.sum(xy_dispersion(p, grid.points)))
+
+
+def xy_ground_energy_ring(p: XYParams, n: int) -> float:
+    """Exact ground energy of the n-site spin ring, the lower of its two
+    fermion-parity sectors (Lieb, Schultz & Mattis 1961). The even sector is
+    the antiperiodic sum; the odd sector is the periodic sum, raised by
+    2 min(|h+js|, |h-js|) when h+js and h-js share a sign. n must be even:
+    build_grid raises ValueError otherwise."""
+    periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
+    anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))
+    if math.copysign(1.0, p.h + p.js) == math.copysign(1.0, p.h - p.js):
+        periodic += 2.0 * min(abs(p.h + p.js), abs(p.h - p.js))
+    return min(anti, periodic)
 
 
 def xy_energy_density(p: XYParams, quad: QuadratureSpec = QuadratureSpec()) -> Integral:

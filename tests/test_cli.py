@@ -119,6 +119,12 @@ def test_validate_quick_exit_zero(capsys):
     assert "all checks passed" in out
 
 
+def test_validate_full_exit_zero(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--level", "full")
+    assert code == 0
+    assert out.rstrip().endswith("validate (full): all checks passed")
+
+
 def test_validate_corrupted_build_exits_nonzero(capsys, monkeypatch):
     import xydopo.sweep as sweep_mod
 

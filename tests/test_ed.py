@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -16,7 +15,12 @@ from xydopo.ed import (
     spin_hamiltonian_dense,
 )
 from xydopo.types import ANTIPERIODIC, PERIODIC, NumericalError, XYParams, build_grid
-from xydopo.xy import xy_energy_density, xy_ground_energy_finite, xy_magnetization
+from xydopo.xy import (
+    xy_energy_density,
+    xy_ground_energy_finite,
+    xy_ground_energy_ring,
+    xy_magnetization,
+)
 
 
 def test_hamiltonian_is_exactly_symmetric():
@@ -124,13 +128,16 @@ def test_zero_hamiltonian_is_exact(n, method):
 
 
 def test_lanczos_matches_dense():
+    # n = 10 and 12 are the sizes the default solver choice moved to ARPACK
     rng = np.random.default_rng(61)
     for _ in range(4):
         p = XYParams(rng.uniform(0.2, 2), rng.uniform(0.2, 2), rng.uniform(0.3, 3))
-        dense = ed_ground_state(p, 10, "dense")
-        lanczos = ed_ground_state(p, 10, "lanczos")
-        assert lanczos.ground_energy == pytest.approx(dense.ground_energy, abs=1e-8)
-        assert lanczos.ground_m_z == pytest.approx(dense.ground_m_z, abs=1e-6)
+        for n in (10, 12):
+            dense = ed_ground_state(p, n, "dense")
+            lanczos = ed_ground_state(p, n, "lanczos")
+            assert lanczos.ground_energy == pytest.approx(dense.ground_energy, abs=1e-11)
+            assert lanczos.gap == pytest.approx(dense.gap, abs=1e-11)
+            assert lanczos.ground_m_z == pytest.approx(dense.ground_m_z, abs=1e-6)
 
 
 def test_lanczos_larger_ring_against_sector_sum():
@@ -158,16 +165,9 @@ def test_size_and_method_validation():
         ed_ground_state(XYParams(1, 0, 1), 8, "sparse")
 
 
-def _ring_energy(p, n):
-    """Exact ring ground energy from the parity-resolved Jordan-Wigner sums:
-    the even sector is the antiperiodic sum; the odd sector is the periodic
-    sum, raised by 2 min(|h+js|, |h-js|) when h+js and h-js share a sign."""
-    js = p.jx + p.jy
-    periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
-    anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))
-    if math.copysign(1.0, p.h + js) == math.copysign(1.0, p.h - js):
-        periodic += 2.0 * min(abs(p.h + js), abs(p.h - js))
-    return min(anti, periodic)
+def test_ring_energy_rejects_odd_n():
+    with pytest.raises(ValueError):
+        xy_ground_energy_ring(XYParams(1.0, 0.0, 1.0), 7)
 
 
 _RANDOM_CHAIN = tuple(float(j) for j in np.random.default_rng(67).uniform(0.2, 2.0, size=2))
@@ -183,7 +183,7 @@ def test_ground_energy_matches_parity_resolved_ring_energy(jx, jy):
         for h in fields:
             p = XYParams(jx, jy, float(h))
             res = ed_ground_state(p, n, method)
-            assert abs(res.ground_energy - _ring_energy(p, n)) < 1e-10, (p, n, method)
+            assert abs(res.ground_energy - xy_ground_energy_ring(p, n)) < 1e-10, (p, n, method)
             parities.add(res.parity)
     if jx == jy:
         # the isotropic ground state changes sector with h inside this grid,
@@ -194,7 +194,7 @@ def test_ground_energy_matches_parity_resolved_ring_energy(jx, jy):
 def test_lanczos_ordered_ising_ring_is_exact():
     p = XYParams(1.0, 0.0, 0.5)
     res = ed_ground_state(p, 16, "lanczos")
-    assert abs(res.ground_energy - _ring_energy(p, 16)) < 1e-9
+    assert abs(res.ground_energy - xy_ground_energy_ring(p, 16)) < 1e-9
 
 
 def test_sector_merge_matches_full_space():

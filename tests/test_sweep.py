@@ -318,3 +318,43 @@ def test_validate_detects_corruption(monkeypatch):
     monkeypatch.setattr(sweep_mod, "verify_spectral_match", lambda *a, **k: 1.0)
     report = run_validate("quick")
     assert not report.passed
+
+
+_QUICK_CHECKS = ["grid cosine sums", "closed-form anchors", "spectral match (presets)",
+                 "energy-shift identity (presets)", "critical points", "map round trip"]
+_FULL_CHECKS = _QUICK_CHECKS + ["spectral match (random)", "map round trip (random)",
+                                "ED convergence table", "ED sector comparison"]
+
+
+def test_validate_full_passes_in_documented_order():
+    report = run_validate("full")
+    assert report.passed, report.format_text()
+    assert [c.name for c in report.checks] == _FULL_CHECKS
+    assert [c.name for c in run_validate("quick").checks] == _QUICK_CHECKS
+
+
+def test_validate_full_builds_no_large_dense_block(monkeypatch):
+    import xydopo.ed as ed_mod
+
+    sizes = []
+    dense = ed_mod._dense
+
+    def spy(cols, amps):
+        sizes.append(len(cols))
+        return dense(cols, amps)
+
+    monkeypatch.setattr(ed_mod, "_dense", spy)
+    assert run_validate("full").passed
+    # rings of up to 8 sites go dense (parity blocks of 128 states), larger ones to ARPACK
+    assert max(sizes) == 128
+
+
+def test_validate_full_holds_ed_to_exact_ring_energy(monkeypatch):
+    import xydopo.sweep as sweep_mod
+
+    exact = sweep_mod.xy_ground_energy_ring
+    monkeypatch.setattr(sweep_mod, "xy_ground_energy_ring", lambda p, n: exact(p, n) + 1e-9)
+    report = run_validate("full")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["ED convergence table"]
+    assert "max |E_ED - E_ring| = 1.00e-09" in failed[0].detail
