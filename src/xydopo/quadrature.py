@@ -9,11 +9,17 @@ Panel doubling converges fast only on an integrand that is smooth on the
 whole interval. A kink (the gap-closing point of a band) is passed as a
 break point: the interval is split there and each smooth piece is doubled on
 its own, so the kink always sits on a panel edge.
+
+The panel layout (abscissae and weights) of an unsplit interval is built
+once per (interval, panel count) and kept read-only in a cache of at most 32
+layouts of at most 4096 nodes each, 2 MiB of arrays in all. Larger layouts
+and the pieces of a split interval are built on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -22,6 +28,8 @@ from .types import NumericalError
 
 _ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
+_LAYOUT_ENTRIES = 32
+_LAYOUT_MAX_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,25 @@ class Integral(NamedTuple):
     nodes: int      # node count of the accepted refinement, summed over the pieces
 
 
-def _panel_doubling(f, a: float, b: float, tol: float, max_nodes: int) -> Integral:
+def _panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and weights of `panels` equal panels on [a, b]."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (b - a) / panels
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    pts = (mid[:, None] + half * _NODES[None, :]).ravel()
+    wts = np.tile(half * _WEIGHTS, panels)
+    return pts, wts
+
+
+@lru_cache(maxsize=_LAYOUT_ENTRIES)
+def _layout(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """_panels(a, b, panels), read-only so that no integrand can corrupt it."""
+    pts, wts = _panels(a, b, panels)
+    pts.flags.writeable = wts.flags.writeable = False
+    return pts, wts
+
+
+def _panel_doubling(f, a: float, b: float, tol: float, max_nodes: int, reuse: bool) -> Integral:
     """Double the panels on [a, b] until two estimates agree to tol.
 
     When the budget runs out first, the last estimate comes back with an
@@ -54,11 +80,8 @@ def _panel_doubling(f, a: float, b: float, tol: float, max_nodes: int) -> Integr
     prev = np.nan
     change = np.inf
     while panels * _ORDER <= max_nodes:
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (b - a) / panels
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        pts = (mid[:, None] + half * _NODES[None, :]).ravel()
-        wts = np.tile(half * _WEIGHTS, panels)
+        layout = _layout if reuse and panels * _ORDER <= _LAYOUT_MAX_NODES else _panels
+        pts, wts = layout(a, b, panels)
         est = float(np.dot(np.asarray(f(pts), dtype=float), wts))
         if panels > 1:
             change = abs(est - prev)
@@ -76,7 +99,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
     Parameters
     ----------
-    f : callable mapping an ndarray of abscissae to an ndarray of values.
+    f : callable mapping an ndarray of abscissae to an ndarray of values;
+        the abscissae may be cached and are then read-only.
     a, b : integration limits, a < b.
     spec : tolerance and node budget, both for the whole integral.
     breaks : points where f has a kink; those strictly inside (a, b) split
@@ -90,7 +114,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    edges = [a, *sorted({float(x) for x in breaks if a < x < b}), b]
+    edges = [float(a), *sorted({float(x) for x in breaks if a < x < b}), float(b)]
     pieces = len(edges) - 1
     value = error = 0.0
     nodes = 0
@@ -98,7 +122,8 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         lo, hi = edges[i], edges[i + 1]
         tol = spec.tol if pieces == 1 else spec.tol * (hi - lo) / (b - a)
         budget = spec.max_nodes - nodes - 2 * _ORDER * (pieces - 1 - i)
-        part = _panel_doubling(f, lo, hi, tol, budget)
+        # kink pieces move with the parameters and never repeat, so they skip the cache
+        part = _panel_doubling(f, lo, hi, tol, budget, reuse=pieces == 1)
         error += part.error
         if not part.error < tol:
             raise NumericalError(

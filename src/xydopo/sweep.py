@@ -112,10 +112,10 @@ class SweepConfig:
             problems.append("params: mapped sweeps need jx*jy > 0 (use a small jy for the Ising limit)")
         if self.steps < 2:
             problems.append(f"steps: must be >= 2, got {self.steps}")
-        if not self.start < self.stop:
-            problems.append(f"control range: need start < stop, got [{self.start}, {self.stop}]")
-        if not self.dh > 0:
-            problems.append(f"dh: must be positive, got {self.dh}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
+            problems.append(f"control range: need finite start < stop, got [{self.start}, {self.stop}]")
+        if not (self.dh > 0 and math.isfinite(self.dh)):
+            problems.append(f"dh: must be positive and finite, got {self.dh}")
         bad = [o for o in self.outputs if o not in OUTPUT_COLUMNS]
         if bad:
             problems.append(f"outputs: unknown column(s) {bad}; valid: {OUTPUT_COLUMNS}")
@@ -230,8 +230,6 @@ def _evaluate_point(cfg: SweepConfig, c: float, critical: list[float],
     energy, phase, gap, axes = _point_model(cfg, c)
     dh = cfg.dh
     derivatives = wants & {"m_z", "chi"}
-    if "chi" in wants and cfg.model == "xy":
-        require_chi_tolerance(cfg.quad, dh)
 
     def stable_energy(x: float) -> float | None:
         try:
@@ -269,16 +267,19 @@ def _critical_controls(cfg: SweepConfig) -> list[float]:
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
     """Stream one record per control point, in control order.
 
-    Points are evaluated one after another in this process; workers is
-    accepted for compatibility and ignored.
+    The configuration and the chi tolerance are checked before this returns,
+    so a sweep that cannot run fails before any output. Points are evaluated
+    one after another in this process; workers is accepted and ignored.
     """
     cfg.validate()
+    if "chi" in cfg.outputs and cfg.model == "xy":
+        require_chi_tolerance(cfg.quad, cfg.dh)
     controls = cfg.controls()
     critical = _critical_controls(cfg)
     flagged = {int(np.argmin(np.abs(controls - crit)))
                for crit in critical if cfg.start <= crit <= cfg.stop}
-    for idx, control in enumerate(controls):
-        yield _evaluate_point(cfg, float(control), critical, idx in flagged)
+    return (_evaluate_point(cfg, float(control), critical, idx in flagged)
+            for idx, control in enumerate(controls))
 
 
 # ---------------------------------------------------------------------------

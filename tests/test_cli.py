@@ -113,6 +113,36 @@ def test_sweep_numerical_error_exit_code(capsys):
     assert "numerical" in err
 
 
+@pytest.mark.parametrize("override", [("--stop", "inf"), ("--start", "-inf"),
+                                      ("--dh", "inf"), ("--dh", "nan")],
+                         ids=["stop-inf", "start-minus-inf", "dh-inf", "dh-nan"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_sweep_non_finite_range_fails_before_output(tmp_path, capsys, override, to_file):
+    flags = {"--start": "0", "--stop": "1", "--dh": "1e-3", override[0]: override[1]}
+    path = tmp_path / "out.csv"
+    code, out, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "0",
+                             "--steps", "3", *[f"{k}={v}" for k, v in flags.items()],
+                             *(["--out", str(path)] if to_file else []))
+    assert code == 2
+    assert err.startswith("config error:") and "finite" in err
+    assert out == ""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_sweep_chi_tolerance_fails_before_output(tmp_path, capsys, fmt, to_file):
+    path = tmp_path / f"out.{fmt}"
+    code, out, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "0",
+                             "--start", "0", "--stop", "1", "--steps", "3",
+                             "--outputs", "e_g,chi", "--tol", "1e-3", "--format", fmt,
+                             *(["--out", str(path)] if to_file else []))
+    assert code == 3
+    assert "too loose for dh" in err
+    assert out == ""
+    assert not path.exists()
+
+
 def test_validate_quick_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "validate", "--level", "quick")
     assert code == 0

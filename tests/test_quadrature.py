@@ -1,9 +1,13 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xydopo.quadrature import Integral, QuadratureSpec, integrate
+from xydopo import quadrature
+from xydopo.quadrature import _NODES, _WEIGHTS, Integral, QuadratureSpec, integrate
+from xydopo.sweep import preset_config, run_sweep, write_csv
 from xydopo.types import NumericalError
 
 
@@ -87,3 +91,91 @@ def test_breaks_at_or_outside_the_interval_are_ignored():
     spec = QuadratureSpec()
     plain = integrate(np.sin, 0.0, np.pi, spec)
     assert integrate(np.sin, 0.0, np.pi, spec, breaks=(0.0, np.pi, -1.0, 4.0)) == plain
+
+
+# --- the panel layout cache ------------------------------------------------
+
+def _reference_panels(a, b, panels):
+    # the layout construction as written before layouts were cached
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (b - a) / panels
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    pts = (mid[:, None] + half * _NODES[None, :]).ravel()
+    wts = np.tile(half * _WEIGHTS, panels)
+    return pts, wts
+
+
+@pytest.mark.parametrize("f, a, b, breaks", [
+    (np.sin, 0.0, np.pi, ()),
+    (lambda k: np.sqrt(1.0 + 0.5 * np.cos(k)), 0.0, np.pi, ()),
+    (_kinked, 0.0, 1.8, (np.pi / 2,)),
+], ids=["sin", "band", "break-split"])
+def test_cached_layouts_match_the_reference_construction(monkeypatch, f, a, b, breaks):
+    spec = QuadratureSpec(tol=1e-13)
+    quadrature._layout.cache_clear()
+    cold = integrate(f, a, b, spec, breaks)
+    warm = integrate(f, a, b, spec, breaks)
+    for panels in (1, 2, 64, quadrature._LAYOUT_MAX_NODES // quadrature._ORDER):
+        for got, want in zip(quadrature._layout(a, b, panels), _reference_panels(a, b, panels)):
+            assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(quadrature, "_layout", _reference_panels)
+    monkeypatch.setattr(quadrature, "_panels", _reference_panels)
+    assert cold == warm == integrate(f, a, b, spec, breaks)
+
+
+def test_integrand_cannot_write_into_a_cached_layout():
+    spec = QuadratureSpec()
+    before = integrate(np.sin, 0.0, np.pi, spec)
+
+    def vandal(k):
+        k *= 2.0
+        return np.sin(k)
+
+    with pytest.raises(ValueError):
+        integrate(vandal, 0.0, np.pi, spec)
+    assert integrate(np.sin, 0.0, np.pi, spec) == before
+
+
+def test_layout_cache_holds_at_most_its_entry_bound():
+    quadrature._layout.cache_clear()
+    for i in range(300):
+        kink = 0.5 + 2.0 * i / 300
+        integrate(lambda k, c=math.cos(kink): np.abs(np.cos(k) - c), 0.0, np.pi,
+                  breaks=(kink,))
+        integrate(np.cos, 0.0, 1.0 + i / 300)
+        assert quadrature._layout.cache_info().currsize <= quadrature._LAYOUT_ENTRIES
+
+
+def test_layout_cache_memory_stays_within_its_stated_bound():
+    # the module docstring states 32 layouts of at most 4096 nodes, 2 MiB of arrays
+    bound = 2 * 2 ** 20
+    assert quadrature._LAYOUT_ENTRIES * quadrature._LAYOUT_MAX_NODES * 2 * 8 <= bound
+    # integrands that never converge drive every interval to a 65,536-node
+    # budget; caching any layout above the node cap would break the bound
+    spec = QuadratureSpec(tol=1e-300, max_nodes=1 << 16)
+    quadrature._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        held_before = tracemalloc.get_traced_memory()[0]
+        for i in range(2 * quadrature._LAYOUT_ENTRIES):
+            with pytest.raises(NumericalError):
+                integrate(lambda k: np.sin(1e4 * k), 0.0, 1.0 + i, spec)
+        held = tracemalloc.get_traced_memory()[0] - held_before
+    finally:
+        tracemalloc.stop()
+    assert quadrature._layout.cache_info().currsize == quadrature._LAYOUT_ENTRIES
+    assert held <= bound
+
+
+def test_preset_bytes_do_not_depend_on_the_cache_state():
+    def preset_csv(name):
+        buf = io.StringIO()
+        write_csv(run_sweep(preset_config(name, outputs="e_g,m_z,chi,phase,gap")), buf)
+        return buf.getvalue()
+
+    quadrature._layout.cache_clear()
+    cold = preset_csv("fig2-aniso")
+    preset_csv("fig3-right")
+    preset_csv("fig2-tfi")
+    assert quadrature._layout.cache_info().hits > 0
+    assert preset_csv("fig2-aniso") == cold
