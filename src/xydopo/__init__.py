@@ -47,6 +47,7 @@ from .dopo import (
     dopo_critical_detuning,
     dopo_energy_density,
     dopo_epsilon,
+    dopo_gap,
     dopo_omega_squared,
     dopo_spectrum,
     dopo_squeezing,

@@ -14,11 +14,12 @@ import sys
 from .dopo import dopo_spectrum
 from .mapping import map_dopo_to_xy, map_xy_to_dopo
 from .sweep import (
+    MODELS,
     PRESETS,
+    SWEEP_KEYS,
     ConfigError,
     config_from_dict,
     format_critical,
-    preset_config,
     run_critical,
     run_sweep,
     run_validate,
@@ -49,18 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", help="parameter sweep over h or delta")
     sweep.add_argument("--preset", choices=sorted(PRESETS))
     sweep.add_argument("--config", help="JSON config file; flags override its values")
-    sweep.add_argument("--model", choices=("xy", "dopo", "mapped"))
-    sweep.add_argument("--jx", type=float)
-    sweep.add_argument("--jy", type=float)
-    sweep.add_argument("--j", type=float)
-    sweep.add_argument("--d2", type=float)
-    sweep.add_argument("--start", type=float)
-    sweep.add_argument("--stop", type=float)
-    sweep.add_argument("--steps", type=int)
-    sweep.add_argument("--dh", type=float)
-    sweep.add_argument("--tol", type=float)
-    sweep.add_argument("--max-nodes", type=int, dest="max_nodes")
-    sweep.add_argument("--outputs", help="comma list from e_g,m_z,chi,phase,gap")
+    for key in SWEEP_KEYS:  # config_from_dict converts and checks each value
+        if key not in ("format", "note"):  # --format comes with --out below
+            sweep.add_argument("--" + key.replace("_", "-"),
+                               choices=MODELS if key == "model" else None)
     sweep.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; sweeps run in one process")
     _add_common(sweep)
@@ -116,20 +109,15 @@ def _emit(args, payload, text: str) -> None:
         out.write((json.dumps(payload) if args.format == "json" else text) + "\n")
 
 
-_SWEEP_KEYS = ("model", "jx", "jy", "j", "d2", "start", "stop", "steps",
-               "dh", "tol", "max_nodes", "outputs", "format")
-
-
 def _cmd_sweep(args) -> int:
     raw: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            raw.update(json.load(handle))
-    flag_overrides = {k: getattr(args, k) for k in _SWEEP_KEYS if getattr(args, k) is not None}
-    if args.preset:
-        cfg = preset_config(args.preset, **{**raw, **flag_overrides})
-    else:
-        cfg = config_from_dict({**raw, **flag_overrides})
+            raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{args.config}: not a JSON object of sweep keys")
+    flags = {k: v for k, v in vars(args).items() if k in SWEEP_KEYS and v is not None}
+    cfg = config_from_dict({**PRESETS.get(args.preset, {}), **raw, **flags})
     records = run_sweep(cfg)
     with _open_out(args.out) as out:
         if cfg.format == "json":

@@ -27,7 +27,6 @@ from .types import (
     SUPERRADIANT,
     DopoParams,
     MomentumGrid,
-    NonphysicalDriveError,
     NoSqueezedVacuumError,
     Spectrum,
     SPECTRUM_OMEGA_SQUARED,
@@ -81,22 +80,22 @@ def dopo_zero_point_energy(p: DopoParams, grid: MomentumGrid) -> float:
     return 0.5 * float(np.sum(np.sqrt(omsq) - eps))
 
 
-def _instability_window(p: DopoParams) -> tuple[float, float] | None:
-    """k-interval in [0, pi] where Omega_k^2 < 0, or None when stable.
+def dopo_gap(p: DopoParams) -> float | None:
+    """min_k Omega_k from the closed-form band minimum, None when a mode is
+    unstable; a minimum within STABILITY_TOL of zero is rounding: gap 0."""
+    min_omsq = dopo_band(p).minimum()
+    return math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
 
-    A band whose minimum lies within STABILITY_TOL of zero is stable: at an
-    exact critical point the minimum is rounding, not an unstable mode.
-    """
-    if dopo_band(p).minimum() >= -STABILITY_TOL:
+
+def _instability_window(p: DopoParams) -> tuple[float, float] | None:
+    """k-interval in [0, pi] where Omega_k^2 < 0, or None when stable."""
+    if dopo_gap(p) is not None:
         return None
     if p.j == 0.0:
         return (0.0, math.pi)  # a flat band: every mode is unstable
     drive = math.sqrt(p.d2)  # the minimum is at least -d2, so d2 > 0 here
     # |eps_k| < drive  <=>  cos k in ((delta-drive)/(2j), (delta+drive)/(2j))
-    lo = (p.delta - drive) / (2.0 * p.j)
-    hi = (p.delta + drive) / (2.0 * p.j)
-    if lo > hi:
-        lo, hi = hi, lo
+    lo, hi = sorted(((p.delta - drive) / (2.0 * p.j), (p.delta + drive) / (2.0 * p.j)))
     lo, hi = max(lo, -1.0), min(hi, 1.0)
     return (math.acos(hi), math.acos(lo))  # arccos reverses order
 

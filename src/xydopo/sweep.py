@@ -24,19 +24,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .dopo import (
-    STABILITY_TOL,
-    dopo_band,
     dopo_classify_phase,
     dopo_critical_detuning,
     dopo_energy_density,
+    dopo_gap,
     dopo_threshold_detunings,
 )
 from .ed import _default_method, ed_ground_state, ed_vs_analytic
@@ -74,7 +73,16 @@ _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
 _record_values = attrgetter(*_RECORD_FIELDS)  # one tuple per record, no deep copy
 CSV_HEADER = ",".join(_RECORD_FIELDS)
 OUTPUT_COLUMNS = ("e_g", "m_z", "chi", "phase", "gap")
-MODELS = ("xy", "dopo", "mapped")
+
+# model -> (its parameters at zero, the couplings a config sets on them); the
+# parameters' remaining field, h or delta, is the control, set per point
+_MODEL_TABLE = {
+    "xy": (XYParams(0.0, 0.0, 0.0), ("jx", "jy")),
+    "dopo": (DopoParams(0.0, 0.0, 0.0), ("j", "d2")),
+    "mapped": (XYParams(0.0, 0.0, 0.0), ("jx", "jy")),
+}
+MODELS = tuple(_MODEL_TABLE)
+_OPTIONAL_COUPLINGS = ("d2",)  # a config may leave d2 at zero: the undriven network
 
 # chain phase -> network phase, for the dual-axis (mapped) sweeps
 _PHASE_TRANSLATION = {ORDERED: SUPERRADIANT, PARAMAGNETIC: NORMAL, CRITICAL: CRITICAL}
@@ -101,10 +109,8 @@ class SweepConfig:
         problems = []
         if self.model not in MODELS:
             problems.append(f"model: must be one of {MODELS}, got {self.model!r}")
-        if self.model in ("xy", "mapped") and not isinstance(self.params, XYParams):
-            problems.append("params: chain parameters (jx, jy) required for this model")
-        if self.model == "dopo" and not isinstance(self.params, DopoParams):
-            problems.append("params: network parameters (j, d2) required for this model")
+        elif not isinstance(self.params, type(_MODEL_TABLE[self.model][0])):
+            problems.append(f"params: {_MODEL_TABLE[self.model][1]} required for {self.model!r}")
         if isinstance(self.params, XYParams) and (self.params.jx < 0 or self.params.jy < 0):
             problems.append("params: couplings must be non-negative for sweeps")
         if self.model == "mapped" and isinstance(self.params, XYParams) \
@@ -126,6 +132,19 @@ class SweepConfig:
 
     def controls(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
+
+
+# The flat keys of a config file, the sweep flags and a preset: SweepConfig's
+# fields in order, with its nested params and quad spelled out as theirs.
+_NESTED_KEYS = {
+    "params": tuple(dict.fromkeys(k for _, couplings in _MODEL_TABLE.values() for k in couplings)),
+    "quad": tuple(f.name for f in fields(QuadratureSpec)),
+}
+SWEEP_KEYS = tuple(k for f in fields(SweepConfig) for k in _NESTED_KEYS.get(f.name, (f.name,)))
+_REQUIRED_KEYS = tuple(f.name for f in fields(SweepConfig)
+                       if f.default is MISSING and f.name not in _NESTED_KEYS)
+_KEY_TYPES = {key: kind for cls in (XYParams, DopoParams, QuadratureSpec, SweepConfig)
+              for key, kind in get_type_hints(cls).items() if key in SWEEP_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -152,41 +171,44 @@ def preset_config(name: str, **overrides) -> SweepConfig:
     return config_from_dict(merged)
 
 
+def _convert(kind, value):
+    """value as its field's annotated type: an int only from an integral
+    value, the outputs tuple also from a comma-separated string."""
+    if kind is int and int(value) != float(value):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if kind == tuple[str, ...] and isinstance(value, str):
+        value = [s.strip() for s in value.split(",") if s.strip()]
+    return kind(value)
+
+
 def config_from_dict(raw: dict) -> SweepConfig:
-    """Build and validate a SweepConfig from a flat dict (config file / flags)."""
-    model = raw.get("model", "")
-    if model == "dopo":
+    """A validated SweepConfig from a flat dict over SWEEP_KEYS (a config file,
+    flags, a preset); a key left out takes its field's default. ConfigError
+    names each key that is foreign, missing though required, or mistyped."""
+    model = raw.get("model")
+    zero, couplings = _MODEL_TABLE[model] if model in MODELS else (None, ())
+    # a known model's keys leave out the couplings of the other models
+    keys = [k for k in SWEEP_KEYS if zero is None or k in couplings or k not in _NESTED_KEYS["params"]]
+    problems = [f"{key}: not a sweep key for model {model!r}" for key in raw if key not in keys]
+    problems += [f"{key}: required" for key in _REQUIRED_KEYS + couplings
+                 if key not in raw and key not in _OPTIONAL_COUPLINGS]
+    values = {}
+    for key in (k for k in keys if k in raw):
         try:
-            params = DopoParams(float(raw.get("j", 0.0)), 0.0, float(raw.get("d2", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
-    else:
-        try:
-            params = XYParams(float(raw.get("jx", 0.0)), float(raw.get("jy", 0.0)), 0.0)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
-    outputs = raw.get("outputs", ("e_g", "m_z", "chi", "phase"))
-    if isinstance(outputs, str):
-        outputs = tuple(s.strip() for s in outputs.split(",") if s.strip())
-    quad = QuadratureSpec(
-        tol=float(raw.get("tol", 1e-10)),
-        max_nodes=int(raw.get("max_nodes", 1 << 20)),
-    )
+            values[key] = _convert(_KEY_TYPES[key], raw[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            problems.append(f"{key}: {exc}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    # what is left in values after this are SweepConfig's own flat fields
+    nested = {field_name: {k: values.pop(k) for k in names if k in values}
+              for field_name, names in _NESTED_KEYS.items()}
     try:
-        cfg = SweepConfig(
-            model=model,
-            params=params,
-            start=float(raw.get("start", 0.0)),
-            stop=float(raw.get("stop", 1.0)),
-            steps=int(raw.get("steps", 2)),
-            dh=float(raw.get("dh", 1e-3)),
-            quad=quad,
-            outputs=tuple(outputs),
-            format=raw.get("format", "csv"),
-            note=raw.get("note", ""),
-        )
-    except (TypeError, ValueError) as exc:
+        params = None if zero is None else replace(zero, **nested["params"])
+        quad = QuadratureSpec(**nested["quad"])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    cfg = SweepConfig(params=params, quad=quad, **values)
     cfg.validate()
     return cfg
 
@@ -194,12 +216,6 @@ def config_from_dict(raw: dict) -> SweepConfig:
 # ---------------------------------------------------------------------------
 # per-point evaluation
 # ---------------------------------------------------------------------------
-
-def _network_gap(p: DopoParams) -> float | None:
-    """min_k Omega_k from the closed-form band minimum; None when a mode is unstable."""
-    min_omsq = dopo_band(p).minimum()
-    return math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
-
 
 def _point_model(cfg: SweepConfig, c: float):
     """What the evaluator takes from cfg's model at control c: the energy
@@ -213,11 +229,11 @@ def _point_model(cfg: SweepConfig, c: float):
     if cfg.model == "dopo":
         p = cfg.params.with_delta(c)
         return (lambda x: dopo_energy_density(p.with_delta(x), quad).value,
-                lambda: dopo_classify_phase(p), lambda: _network_gap(p), {"delta": c})
+                lambda: dopo_classify_phase(p), lambda: dopo_gap(p), {"delta": c})
     p = cfg.params.with_h(c)
     network = map_xy_to_dopo(p).dopo
     return (lambda x: dopo_energy_density(map_xy_to_dopo(p.with_h(x)).dopo, quad).value,
-            lambda: _PHASE_TRANSLATION[xy_phase(p)], lambda: _network_gap(network),
+            lambda: _PHASE_TRANSLATION[xy_phase(p)], lambda: dopo_gap(network),
             {"h": c, "delta": network.delta})
 
 
@@ -272,7 +288,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
     one after another in this process; workers is accepted and ignored.
     """
     cfg.validate()
-    if "chi" in cfg.outputs and cfg.model == "xy":
+    if "chi" in cfg.outputs:
         require_chi_tolerance(cfg.quad, cfg.dh)
     controls = cfg.controls()
     critical = _critical_controls(cfg)
@@ -301,10 +317,7 @@ def write_csv(records: Iterable[SweepRecord], out: TextIO) -> None:
 
 
 def _meta(cfg: SweepConfig) -> dict:
-    if isinstance(cfg.params, XYParams):
-        params = {"jx": cfg.params.jx, "jy": cfg.params.jy}
-    else:
-        params = {"j": cfg.params.j, "d2": cfg.params.d2}
+    params = {key: getattr(cfg.params, key) for key in _MODEL_TABLE[cfg.model][1]}
     meta = {"model": cfg.model, "params": params, "version": __version__}
     if cfg.note:
         meta["note"] = cfg.note

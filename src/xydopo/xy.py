@@ -156,20 +156,16 @@ def xy_critical_fields(p: XYParams) -> CriticalFieldSet:
     """Fields where min_k E_k = 0, from the simultaneous conditions
     h + (jx+jy)*cos k = 0 and (jx-jy)*sin k = 0.
 
-    Isotropic chains report k_star = arccos(-h_c/(2*j)); anisotropic chains
-    close the gap at k = 0 (h_c = -(jx+jy)) and k = pi (h_c = jx+jy).
+    Every chain closes the gap at k = 0 (h_c = -(jx+jy)) and k = pi
+    (h_c = jx+jy); for an isotropic chain these are k_star = arccos(-h_c/(2*j)).
     """
     if p.jx == 0.0 and p.jy == 0.0:
         raise DegenerateModelError("jx = jy = 0: free spins, no transition")
     if p.jx == p.jy:
-        two_j = 2.0 * p.jx
-        # k_star = arccos(-h_c / (2*j)) picks 0 for -2j and pi for +2j
-        values = ((-two_j, 0.0), (two_j, math.pi))
         case = ISOTROPIC
     else:
-        values = ((-p.js, 0.0), (p.js, math.pi))
         case = TFI if (p.jx == 0.0 or p.jy == 0.0) else ANISOTROPIC
-    return CriticalFieldSet(values, case)
+    return CriticalFieldSet(((-p.js, 0.0), (p.js, math.pi)), case)
 
 
 def xy_phase(p: XYParams, tol: float = 1e-12) -> str:

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from xydopo.cli import main
-from xydopo.sweep import CSV_HEADER
+from xydopo.cli import build_parser, main
+from xydopo.sweep import CSV_HEADER, SWEEP_KEYS
 
 
 def run_cli(capsys, *argv):
@@ -133,14 +133,55 @@ def test_sweep_non_finite_range_fails_before_output(tmp_path, capsys, override, 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
 def test_sweep_chi_tolerance_fails_before_output(tmp_path, capsys, fmt, to_file):
     path = tmp_path / f"out.{fmt}"
-    code, out, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "0",
-                             "--start", "0", "--stop", "1", "--steps", "3",
-                             "--outputs", "e_g,chi", "--tol", "1e-3", "--format", fmt,
-                             *(["--out", str(path)] if to_file else []))
-    assert code == 3
-    assert "too loose for dh" in err
-    assert out == ""
-    assert not path.exists()
+    for model in (["xy", "--jx", "1", "--jy", "0"], ["mapped", "--jx", "1", "--jy", "1"],
+                  ["dopo", "--j", "1"]):
+        code, out, err = run_cli(capsys, "sweep", "--model", *model,
+                                 "--start", "0", "--stop", "1", "--steps", "3",
+                                 "--outputs", "e_g,chi", "--tol", "1e-3", "--format", fmt,
+                                 *(["--out", str(path)] if to_file else []))
+        assert code == 3, model
+        assert "too loose for dh" in err
+        assert out == ""
+        assert not path.exists()
+
+
+_XY = {"model": "xy", "jx": 1.0, "jy": 0.0, "start": 0.0, "stop": 1.0, "steps": 3}
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    (None, ["--preset", "fig2-tfi", "--model", "dopo"], "jx: not a sweep key"),
+    ({**_XY, "j": 2.0}, [], "j: not a sweep key"),
+    ({**_XY, "step": 401}, [], "step: not a sweep key"),
+    ({k: v for k, v in _XY.items() if k != "start"}, [], "start: required"),
+    ({k: v for k, v in _XY.items() if k != "stop"}, [], "stop: required"),
+    ({k: v for k, v in _XY.items() if k != "steps"}, [], "steps: required"),
+    ({k: v for k, v in _XY.items() if k != "jy"}, [], "jy: required"),
+    (None, ["--model", "dopo", "--start", "0", "--stop", "1", "--steps", "3"], "j: required"),
+    ({**_XY, "steps": 3.9}, [], "steps: must be an integer"),
+    ({**_XY, "max_nodes": 4096.5}, [], "max_nodes: must be an integer"),
+    ({**_XY, "jx": "one"}, [], "jx: could not convert"),
+    (_XY, ["--tol", "0"], "tol must be positive"),
+    (_XY, ["--max-nodes", "8"], "max_nodes must be at least"),
+    ([_XY], [], "not a JSON object"),
+], ids=["foreign-preset", "foreign-key", "unknown-key", "no-start", "no-stop", "no-steps",
+        "no-jy", "no-j", "steps-3.9", "max-nodes-fraction", "jx-string", "tol-zero",
+        "max-nodes-small", "config-array"])
+def test_sweep_schema_rejects_before_output(tmp_path, capsys, config, argv, named):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+    path = tmp_path / "out.csv"
+    for out_flag in ([], ["--out", str(path)]):
+        code, out, err = run_cli(capsys, "sweep", *argv, *out_flag)
+        assert code == 2
+        assert err.startswith("config error:") and named in err
+        assert out == ""
+        assert not path.exists()
+
+
+def test_sweep_flags_are_the_sweep_keys():
+    flags = set(vars(build_parser().parse_args(["sweep"]))) - {"command"}
+    assert flags == set(SWEEP_KEYS) - {"note"} | {"preset", "config", "workers", "out"}
 
 
 def test_validate_quick_exit_zero(capsys):

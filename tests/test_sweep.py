@@ -28,7 +28,7 @@ from xydopo.types import (
     DopoParams,
     XYParams,
 )
-from xydopo.xy import xy_energy_density
+from xydopo.xy import xy_energy_density, xy_magnetization, xy_susceptibility
 
 
 def small_xy_config(**kw):
@@ -218,6 +218,22 @@ def test_each_stencil_energy_computed_once(monkeypatch, raw):
         calls.clear()
     assert len(per_record) == 7 and sum(per_record) > 0
     assert max(per_record) <= 3, per_record
+
+
+def test_chain_derivative_columns_match_the_public_functions():
+    # the sweep's own stencil must give what xy_magnetization and
+    # xy_susceptibility give at the same quad and dh, to the last bit
+    mismatches = []
+    for name in ("fig2-aniso", "fig2-iso", "fig2-tfi"):
+        cfg = preset_config(name, steps=41)
+        for r in run_sweep(cfg):
+            p = cfg.params.with_h(r.h)
+            m_z = xy_magnetization(p, cfg.quad, cfg.dh)
+            chi = xy_susceptibility(p, cfg.quad, cfg.dh)
+            if (r.m_z, r.chi, "straddle" in r.flags.split(";")) \
+                    != (m_z.value, chi.value, m_z.straddles_critical):
+                mismatches.append((name, r.h))
+    assert mismatches == []
 
 
 def test_workers_do_not_change_output():
