@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import fields
 
 from .dopo import dopo_spectrum
 from .mapping import map_dopo_to_xy, map_xy_to_dopo
@@ -38,6 +39,10 @@ from .types import (
 from .xy import xy_spectrum
 
 
+# the parameter flags of spectrum, map and critical: the fields of both models
+_PARAM_FLAGS = tuple(f.name for cls in (XYParams, DopoParams) for f in fields(cls))
+
+
 def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default=None)
     sub.add_argument("--out", default="-", help="output path (default stdout)")
@@ -60,32 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     spectrum = subs.add_parser("spectrum", help="dump E_k or Omega_k^2 over a grid")
     spectrum.add_argument("--model", choices=("xy", "dopo"), required=True)
-    spectrum.add_argument("--jx", type=float)
-    spectrum.add_argument("--jy", type=float)
-    spectrum.add_argument("--h", type=float, default=0.0)
-    spectrum.add_argument("--j", type=float)
-    spectrum.add_argument("--delta", type=float)
-    spectrum.add_argument("--d2", type=float, default=0.0)
     spectrum.add_argument("--n", type=int, default=128)
     spectrum.add_argument("--sector", choices=(PERIODIC, ANTIPERIODIC), default=PERIODIC)
-    _add_common(spectrum)
-
     mp = subs.add_parser("map", help="chain <-> network parameter map")
     mp.add_argument("--invert", action="store_true", help="map network parameters back")
-    mp.add_argument("--jx", type=float)
-    mp.add_argument("--jy", type=float)
-    mp.add_argument("--h", type=float)
-    mp.add_argument("--j", type=float)
-    mp.add_argument("--delta", type=float)
-    mp.add_argument("--d2", type=float)
-    _add_common(mp)
-
     crit = subs.add_parser("critical", help="critical fields / detunings")
-    crit.add_argument("--jx", type=float)
-    crit.add_argument("--jy", type=float)
-    crit.add_argument("--j", type=float)
-    crit.add_argument("--d2", type=float, default=0.0)
-    _add_common(crit)
+
+    # critical finds the control values itself, so it has no --h or --delta
+    for sub, keys in ((spectrum, _PARAM_FLAGS), (mp, _PARAM_FLAGS),
+                      (crit, ("jx", "jy", "j", "d2"))):
+        for key in keys:
+            sub.add_argument("--" + key, type=float)
+        _add_common(sub)
 
     val = subs.add_parser("validate", help="run the built-in validation suite")
     val.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -127,16 +118,26 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _params(args, cls, extra=(), **defaults):
+    """cls from the flags named after its fields, a default standing in for a
+    flag left out; extra names flags the command reads itself. ConfigError
+    names each flag that is missing and each parameter flag cls does not take."""
+    wanted = [f.name for f in fields(cls)] + list(extra)
+    given = {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k, None) is not None}
+    values = {**defaults, **given}
+    problems = [f"--{k}: required" for k in wanted if k not in values]
+    problems += [f"--{k}: not a field of {cls.__name__}" for k in given if k not in wanted]
+    if problems:
+        raise ConfigError(f"{args.command}: " + "; ".join(problems))
+    return cls(**{k: values[k] for k in wanted if k not in extra})
+
+
 def _cmd_spectrum(args) -> int:
     grid = build_grid(args.n, args.sector)
     if args.model == "xy":
-        if args.jx is None or args.jy is None:
-            raise ConfigError("spectrum --model xy needs --jx and --jy")
-        spec = xy_spectrum(XYParams(args.jx, args.jy, args.h), grid)
+        spec = xy_spectrum(_params(args, XYParams, h=0.0), grid)
     else:
-        if args.j is None or args.delta is None:
-            raise ConfigError("spectrum --model dopo needs --j and --delta")
-        spec = dopo_spectrum(DopoParams(args.j, args.delta, args.d2), grid)
+        spec = dopo_spectrum(_params(args, DopoParams, d2=0.0), grid)
     _emit(args, {"k": list(spec.k), "value": list(spec.value), "kind": spec.kind},
           "\n".join(["k,value"] + [f"{k:.12g},{v:.12g}" for k, v in zip(spec.k, spec.value)]))
     return 0
@@ -144,18 +145,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_map(args) -> int:
     if args.invert:
-        if args.j is None or args.delta is None or args.d2 is None or args.h is None:
-            raise ConfigError("map --invert needs --j, --delta, --d2 and --h")
-        back = map_dopo_to_xy(DopoParams(args.j, args.delta, args.d2), args.h)
+        back = map_dopo_to_xy(_params(args, DopoParams, extra=("h",)), args.h)
         if back is None:
             _emit(args, {"xy": None}, "no-solution")
             return 1
         _emit(args, {"xy": {"jx": back.jx, "jy": back.jy, "h": back.h}},
               f"jx,jy,h\n{back.jx:.12g},{back.jy:.12g},{back.h:.12g}")
         return 0
-    if args.jx is None or args.jy is None or args.h is None:
-        raise ConfigError("map needs --jx, --jy and --h")
-    res = map_xy_to_dopo(XYParams(args.jx, args.jy, args.h))
+    res = map_xy_to_dopo(_params(args, XYParams))
     d = res.dopo
     _emit(args, {"dopo": {"j": d.j, "delta": d.delta, "d2": d.d2}, "physical": res.physical},
           f"j,delta,d2,physical\n{d.j:.12g},{d.delta:.12g},{d.d2:.12g},"
@@ -165,11 +162,9 @@ def _cmd_map(args) -> int:
 
 def _cmd_critical(args) -> int:
     if args.j is not None:
-        report = run_critical(DopoParams(args.j, 0.0, args.d2))
-    elif args.jx is not None and args.jy is not None:
-        report = run_critical(XYParams(args.jx, args.jy, 0.0))
+        report = run_critical(_params(args, DopoParams, delta=0.0, d2=0.0))
     else:
-        raise ConfigError("critical needs either --jx/--jy or --j [--d2]")
+        report = run_critical(_params(args, XYParams, h=0.0))
     _emit(args, report, format_critical(report))
     return 0
 

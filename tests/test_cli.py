@@ -163,9 +163,11 @@ _XY = {"model": "xy", "jx": 1.0, "jy": 0.0, "start": 0.0, "stop": 1.0, "steps": 
     (_XY, ["--tol", "0"], "tol must be positive"),
     (_XY, ["--max-nodes", "8"], "max_nodes must be at least"),
     ([_XY], [], "not a JSON object"),
+    (None, ["--model", "dopo", "--j", "2", "--d2", "-1", "--start", "-3", "--stop", "3",
+            "--steps", "3", "--outputs", "e_g,phase,gap"], "d2: must be >= 0"),
 ], ids=["foreign-preset", "foreign-key", "unknown-key", "no-start", "no-stop", "no-steps",
         "no-jy", "no-j", "steps-3.9", "max-nodes-fraction", "jx-string", "tol-zero",
-        "max-nodes-small", "config-array"])
+        "max-nodes-small", "config-array", "dopo-negative-d2"])
 def test_sweep_schema_rejects_before_output(tmp_path, capsys, config, argv, named):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -177,6 +179,26 @@ def test_sweep_schema_rejects_before_output(tmp_path, capsys, config, argv, name
         assert err.startswith("config error:") and named in err
         assert out == ""
         assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["critical", "--jx", "2", "--jy", "1", "--j", "3"], "--jx: not a field of DopoParams"),
+    (["critical", "--jx", "2", "--jy", "1", "--d2", "1"], "--d2: not a field of XYParams"),
+    (["spectrum", "--model", "xy", "--jx", "1", "--jy", "0.5", "--j", "5"],
+     "--j: not a field of XYParams"),
+    (["spectrum", "--model", "dopo", "--j", "2", "--delta", "-3", "--h", "1"],
+     "--h: not a field of DopoParams"),
+    (["map", "--jx", "2", "--jy", "1", "--h", "3", "--d2", "7"], "--d2: not a field of XYParams"),
+    (["map", "--invert", "--j", "2", "--delta", "-2", "--d2", "0", "--h", "1", "--jx", "5"],
+     "--jx: not a field of DopoParams"),
+    (["map", "--invert", "--j", "2", "--delta", "-2", "--d2", "0"], "--h: required"),
+], ids=["critical-j", "critical-d2", "spectrum-xy", "spectrum-dopo", "map", "map-invert",
+        "map-invert-no-h"])
+def test_flag_of_the_other_model_exits_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("config error:") and named in err
+    assert out == ""
 
 
 def test_sweep_flags_are_the_sweep_keys():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ def test_config_validation_messages():
         config_from_dict(dict(model="xy", jx=-1, jy=0, start=0, stop=1, steps=3))
     with pytest.raises(ConfigError, match="jx\\*jy"):
         config_from_dict(dict(model="mapped", jx=1, jy=0, start=0, stop=1, steps=3))
+    # a directly built config is not converted: a mistyped field is named, not a TypeError
+    for key, value in (("start", "0"), ("stop", "1"), ("dh", "1e-3"), ("steps", 3.0)):
+        fields = {"start": 0.0, "stop": 1.0, "steps": 3, "dh": 1e-3, key: value}
+        with pytest.raises(ConfigError, match=f"^{key}: must be"):
+            run_sweep(SweepConfig("xy", XYParams(1, 0, 0), **fields))
 
 
 def test_outputs_string_parsing():
@@ -334,6 +340,56 @@ def test_validate_detects_corruption(monkeypatch):
     monkeypatch.setattr(sweep_mod, "verify_spectral_match", lambda *a, **k: 1.0)
     report = run_validate("quick")
     assert not report.passed
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["spectral match (presets)"]
+    assert "XYParams(jx=2.0, jy=1.0, h=0.5)" in failed[0].detail
+    assert "bound 1e-09" in failed[0].detail
+
+
+def _nan_energy(monkeypatch, sweep_mod):
+    exact = sweep_mod.xy_energy_density
+    monkeypatch.setattr(sweep_mod, "xy_energy_density",
+                        lambda *a: exact(*a)._replace(value=math.nan))
+
+
+def _nan_shift_residual(monkeypatch, sweep_mod):
+    exact = sweep_mod.map_energy_density
+    monkeypatch.setattr(sweep_mod, "map_energy_density",
+                        lambda *a: exact(*a)._replace(residual=math.nan))
+
+
+def _nan_couplings(monkeypatch, sweep_mod):
+    monkeypatch.setattr(sweep_mod, "map_dopo_to_xy",
+                        lambda d, h: SimpleNamespace(jx=math.nan, jy=math.nan, h=h))
+
+
+@pytest.mark.parametrize("corrupt, check", [
+    (_nan_energy, "closed-form anchors"),
+    (_nan_shift_residual, "energy-shift identity (presets)"),
+    (_nan_couplings, "map round trip"),
+], ids=["energy", "shift-residual", "couplings"])
+def test_validate_fails_a_nan(monkeypatch, corrupt, check):
+    import xydopo.sweep as sweep_mod
+
+    corrupt(monkeypatch, sweep_mod)
+    report = run_validate("quick")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == [check]
+    assert ": nan (bound" in failed[0].detail
+
+
+def test_validate_completes_when_a_check_raises(monkeypatch):
+    import xydopo.sweep as sweep_mod
+
+    def boom(*args):
+        raise RuntimeError("corrupted")
+
+    monkeypatch.setattr(sweep_mod, "map_energy_density", boom)
+    report = run_validate("quick")
+    assert [c.name for c in report.checks] == _QUICK_CHECKS
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["energy-shift identity (presets)"]
+    assert failed[0].detail.startswith("raised RuntimeError: corrupted")
 
 
 _QUICK_CHECKS = ["grid cosine sums", "closed-form anchors", "spectral match (presets)",
@@ -373,4 +429,5 @@ def test_validate_full_holds_ed_to_exact_ring_energy(monkeypatch):
     report = run_validate("full")
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == ["ED convergence table"]
-    assert "max |E_ED - E_ring| = 1.00e-09" in failed[0].detail
+    assert "|E_ED - E_ring| at XYParams(" in failed[0].detail
+    assert ": 1.00e-09 (bound 1e-10)" in failed[0].detail
