@@ -10,14 +10,16 @@ whole interval. A kink (the gap-closing point of a band) is passed as a
 break point: the interval is split there and each smooth piece is doubled on
 its own, so the kink always sits on a panel edge.
 
-The panel layout (abscissae and weights) of an unsplit interval is built
-once per (interval, panel count) and kept read-only in a cache of at most 32
-layouts of at most 4096 nodes each, 2 MiB of arrays in all. Larger layouts
-and the pieces of a split interval are built on every call.
+Panel layouts (abscissae and weights) are built on [0, pi], the interval of
+every band energy, and cached read-only by panel count: the 9 layouts of at
+most 4096 nodes, 128 KiB of arrays (under 160 KiB with their objects). Larger
+layouts are built per call. [0, pi] uses the nodes as they are; any other
+interval, a kink piece included, uses their affine image.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
@@ -28,7 +30,6 @@ from .types import NumericalError
 
 _ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
-_LAYOUT_ENTRIES = 32
 _LAYOUT_MAX_NODES = 4096
 
 
@@ -52,37 +53,34 @@ class Integral(NamedTuple):
     nodes: int      # node count of the accepted refinement, summed over the pieces
 
 
-def _panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Abscissae and weights of `panels` equal panels on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (b - a) / panels
+@lru_cache(maxsize=9)  # panel counts 1, 2, 4, ..., 256: every layout of at most 4096 nodes
+def _layout(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only abscissae and weights of `panels` equal panels on [0, pi]."""
+    edges = np.linspace(0.0, math.pi, panels + 1)
+    half = 0.5 * math.pi / panels
     mid = 0.5 * (edges[:-1] + edges[1:])
     pts = (mid[:, None] + half * _NODES[None, :]).ravel()
     wts = np.tile(half * _WEIGHTS, panels)
-    return pts, wts
-
-
-@lru_cache(maxsize=_LAYOUT_ENTRIES)
-def _layout(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """_panels(a, b, panels), read-only so that no integrand can corrupt it."""
-    pts, wts = _panels(a, b, panels)
     pts.flags.writeable = wts.flags.writeable = False
     return pts, wts
 
 
-def _panel_doubling(f, a: float, b: float, tol: float, max_nodes: int, reuse: bool) -> Integral:
+def _panel_doubling(f, a: float, b: float, tol: float, max_nodes: int) -> Integral:
     """Double the panels on [a, b] until two estimates agree to tol.
 
     When the budget runs out first, the last estimate comes back with an
     error of at least tol (inf if there was only one estimate).
     """
+    scale = (b - a) / math.pi   # exactly 1 on [0, pi], where the nodes are used as they are
+    unmapped = (a, b) == (0.0, math.pi)
     panels = 1
     prev = np.nan
     change = np.inf
     while panels * _ORDER <= max_nodes:
-        layout = _layout if reuse and panels * _ORDER <= _LAYOUT_MAX_NODES else _panels
-        pts, wts = layout(a, b, panels)
-        est = float(np.dot(np.asarray(f(pts), dtype=float), wts))
+        layout = _layout if panels * _ORDER <= _LAYOUT_MAX_NODES else _layout.__wrapped__
+        pts, wts = layout(panels)
+        x = pts if unmapped else a + scale * pts
+        est = scale * float(np.dot(np.asarray(f(x), dtype=float), wts))
         if panels > 1:
             change = abs(est - prev)
             if change < tol:
@@ -122,8 +120,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         lo, hi = edges[i], edges[i + 1]
         tol = spec.tol if pieces == 1 else spec.tol * (hi - lo) / (b - a)
         budget = spec.max_nodes - nodes - 2 * _ORDER * (pieces - 1 - i)
-        # kink pieces move with the parameters and never repeat, so they skip the cache
-        part = _panel_doubling(f, lo, hi, tol, budget, reuse=pieces == 1)
+        part = _panel_doubling(f, lo, hi, tol, budget)
         error += part.error
         if not part.error < tol:
             raise NumericalError(

@@ -108,8 +108,9 @@ class SweepConfig:
 
     def validate(self) -> None:
         for key, kind in (("start", Real), ("stop", Real), ("steps", Integral), ("dh", Real)):
-            if not isinstance(getattr(self, key), kind):
-                raise ConfigError(f"{key}: must be {kind.__name__.lower()}, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, kind):  # a bool is an Integral
+                raise ConfigError(f"{key}: must be {kind.__name__.lower()}, got {value!r}")
         problems = []
         if self.model not in MODELS:
             problems.append(f"model: must be one of {MODELS}, got {self.model!r}")
@@ -178,8 +179,10 @@ def preset_config(name: str, **overrides) -> SweepConfig:
 
 
 def _convert(kind, value):
-    """value as its field's annotated type: an int only from an integral
-    value, the outputs tuple also from a comma-separated string."""
+    """value as its field's annotated type: never from a boolean, an int only
+    from an integral value, the outputs tuple also from a comma-separated string."""
+    if isinstance(value, bool):
+        raise ValueError(f"must not be a boolean, got {value!r}")
     if kind is int and int(value) != float(value):
         raise ValueError(f"must be an integer, got {value!r}")
     if kind == tuple[str, ...] and isinstance(value, str):
@@ -263,9 +266,9 @@ def _evaluate_point(cfg: SweepConfig, c: float, critical: list[float],
     lo, hi = (stable_energy(c - dh), stable_energy(c + dh)) if derivatives else (None, None)
     m_z = chi = None
     if "m_z" in wants and None not in (lo, hi):
-        m_z = -(hi - lo) / (2.0 * dh)
+        m_z = (lo - hi) / (2.0 * dh)
     if "chi" in wants and None not in (lo, mid, hi):
-        chi = -(hi - 2.0 * mid + lo) / (dh * dh)
+        chi = (2.0 * mid - hi - lo) / (dh * dh)
     flags = ["critical"] if nearest_critical else []
     if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
         flags.append("unstable-step")

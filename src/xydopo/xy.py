@@ -113,7 +113,7 @@ def xy_magnetization(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
         raise ValueError("dh must be positive")
     e_plus = xy_energy_density(p.with_h(p.h + dh), quad).value
     e_minus = xy_energy_density(p.with_h(p.h - dh), quad).value
-    return FieldDerivative(-(e_plus - e_minus) / (2.0 * dh), _straddles(p, dh))
+    return FieldDerivative((e_minus - e_plus) / (2.0 * dh), _straddles(p, dh))
 
 
 def require_chi_tolerance(quad: QuadratureSpec, dh: float) -> None:
@@ -140,7 +140,7 @@ def xy_susceptibility(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
     e_plus = xy_energy_density(p.with_h(p.h + dh), quad).value
     e_mid = xy_energy_density(p, quad).value
     e_minus = xy_energy_density(p.with_h(p.h - dh), quad).value
-    value = -(e_plus - 2.0 * e_mid + e_minus) / (dh * dh)
+    value = (2.0 * e_mid - e_plus - e_minus) / (dh * dh)
     return FieldDerivative(value, _straddles(p, dh))
 
 

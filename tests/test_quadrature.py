@@ -95,6 +95,9 @@ def test_breaks_at_or_outside_the_interval_are_ignored():
 
 # --- the panel layout cache ------------------------------------------------
 
+_CACHED_PANELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)   # every layout of at most 4096 nodes
+
+
 def _reference_panels(a, b, panels):
     # the layout construction as written before layouts were cached
     edges = np.linspace(a, b, panels + 1)
@@ -103,6 +106,22 @@ def _reference_panels(a, b, panels):
     pts = (mid[:, None] + half * _NODES[None, :]).ravel()
     wts = np.tile(half * _WEIGHTS, panels)
     return pts, wts
+
+
+def _reference_doubling(f, a, b, tol, max_nodes):
+    # panel doubling on layouts built per call on [a, b] itself, as before
+    # layouts were cached
+    panels, prev, change = 1, np.nan, np.inf
+    while panels * 16 <= max_nodes:
+        pts, wts = _reference_panels(a, b, panels)
+        est = float(np.dot(f(pts), wts))
+        if panels > 1:
+            change = abs(est - prev)
+            if change < tol:
+                return Integral(est, change, panels * 16)
+        prev = est
+        panels *= 2
+    return Integral(prev, change, panels // 2 * 16)
 
 
 @pytest.mark.parametrize("f, a, b, breaks", [
@@ -115,12 +134,21 @@ def test_cached_layouts_match_the_reference_construction(monkeypatch, f, a, b, b
     quadrature._layout.cache_clear()
     cold = integrate(f, a, b, spec, breaks)
     warm = integrate(f, a, b, spec, breaks)
-    for panels in (1, 2, 64, quadrature._LAYOUT_MAX_NODES // quadrature._ORDER):
-        for got, want in zip(quadrature._layout(a, b, panels), _reference_panels(a, b, panels)):
+    for panels in (*_CACHED_PANELS, 512):
+        for got, want in zip(quadrature._layout(panels), _reference_panels(0.0, np.pi, panels)):
             assert got.tobytes() == want.tobytes()
-    monkeypatch.setattr(quadrature, "_layout", _reference_panels)
-    monkeypatch.setattr(quadrature, "_panels", _reference_panels)
-    assert cold == warm == integrate(f, a, b, spec, breaks)
+            assert not got.flags.writeable
+    monkeypatch.setattr(quadrature, "_panel_doubling", _reference_doubling)
+    reference = integrate(f, a, b, spec, breaks)
+    assert cold == warm
+    if (a, b, breaks) == (0.0, np.pi, ()):
+        assert cold == reference    # [0, pi] uses the cached nodes as they are
+    else:
+        # each piece uses the affine image of the [0, pi] nodes, which rounds
+        # differently from nodes built on the piece itself
+        assert cold.nodes == reference.nodes
+        assert abs(cold.value - reference.value) <= 1e-15
+        assert abs(cold.error - reference.error) <= 1e-15
 
 
 def test_integrand_cannot_write_into_a_cached_layout():
@@ -143,13 +171,14 @@ def test_layout_cache_holds_at_most_its_entry_bound():
         integrate(lambda k, c=math.cos(kink): np.abs(np.cos(k) - c), 0.0, np.pi,
                   breaks=(kink,))
         integrate(np.cos, 0.0, 1.0 + i / 300)
-        assert quadrature._layout.cache_info().currsize <= quadrature._LAYOUT_ENTRIES
+        assert quadrature._layout.cache_info().currsize <= len(_CACHED_PANELS)
 
 
 def test_layout_cache_memory_stays_within_its_stated_bound():
-    # the module docstring states 32 layouts of at most 4096 nodes, 2 MiB of arrays
-    bound = 2 * 2 ** 20
-    assert quadrature._LAYOUT_ENTRIES * quadrature._LAYOUT_MAX_NODES * 2 * 8 <= bound
+    # the module docstring states 9 layouts, 128 KiB of arrays, under 160 KiB
+    # with their objects
+    assert sum(p * quadrature._ORDER * 2 * 8 for p in _CACHED_PANELS) <= 128 * 2 ** 10
+    bound = 160 * 2 ** 10
     # integrands that never converge drive every interval to a 65,536-node
     # budget; caching any layout above the node cap would break the bound
     spec = QuadratureSpec(tol=1e-300, max_nodes=1 << 16)
@@ -157,14 +186,31 @@ def test_layout_cache_memory_stays_within_its_stated_bound():
     tracemalloc.start()
     try:
         held_before = tracemalloc.get_traced_memory()[0]
-        for i in range(2 * quadrature._LAYOUT_ENTRIES):
+        for i in range(2 * len(_CACHED_PANELS)):
             with pytest.raises(NumericalError):
                 integrate(lambda k: np.sin(1e4 * k), 0.0, 1.0 + i, spec)
         held = tracemalloc.get_traced_memory()[0] - held_before
     finally:
         tracemalloc.stop()
-    assert quadrature._layout.cache_info().currsize == quadrature._LAYOUT_ENTRIES
+    assert quadrature._layout.cache_info().currsize == len(_CACHED_PANELS)
     assert held <= bound
+
+
+def test_kinked_sweep_reuses_every_layout(monkeypatch):
+    # np.tile is called by the layout construction alone, so a counting tile
+    # sees every layout built; a kink piece on a new interval builds none
+    def sweep(shift):
+        cfg = preset_config("fig2-iso", steps=41, start=shift, stop=4.0 + shift,
+                            outputs="e_g,m_z,chi")
+        return list(run_sweep(cfg))
+
+    sweep(0.0)
+    tiles = []
+    real_tile = np.tile
+    monkeypatch.setattr(np, "tile", lambda a, reps: tiles.append(reps) or real_tile(a, reps))
+    sweep(0.3 * 4.0 / 40)
+    assert tiles == []
+    assert quadrature._layout.cache_info().currsize <= len(_CACHED_PANELS)
 
 
 def test_preset_bytes_do_not_depend_on_the_cache_state():

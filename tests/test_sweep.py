@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,16 @@ def test_config_validation_messages():
         fields = {"start": 0.0, "stop": 1.0, "steps": 3, "dh": 1e-3, key: value}
         with pytest.raises(ConfigError, match=f"^{key}: must be"):
             run_sweep(SweepConfig("xy", XYParams(1, 0, 0), **fields))
+    # no sweep key takes a boolean, though bool is a Real and an Integral
+    for key, value in (("start", True), ("stop", True), ("steps", True), ("dh", True)):
+        fields = {"start": 0.0, "stop": 2.0, "steps": 3, "dh": 1e-3, key: value}
+        with pytest.raises(ConfigError, match=f"^{key}: must be"):
+            SweepConfig("xy", XYParams(1, 0, 0), **fields).validate()
+    for key, value in (("jx", True), ("dh", True), ("start", False), ("steps", True),
+                       ("tol", True), ("outputs", True), ("note", False)):
+        raw = {**dict(model="xy", jx=1, jy=0, start=0, stop=1, steps=3), key: value}
+        with pytest.raises(ConfigError, match=f"^{key}: must not be a boolean"):
+            config_from_dict(raw)
 
 
 def test_outputs_string_parsing():
@@ -291,6 +302,18 @@ def test_csv_twelve_digit_format():
     write_csv(run_sweep(small_xy_config(outputs="e_g", steps=2, start=0.0, stop=1.0)), buf)
     row = buf.getvalue().splitlines()[2].split(",")
     assert row[3] == format(xy_energy_density(XYParams(1, 0, 1.0)).value, ".12g")
+
+
+def test_no_signed_zero_cells():
+    # m_z at h = 0 and chi where e(h) is linear are exact zeros, written unsigned
+    cfg = preset_config("fig2-iso", outputs="e_g,m_z,chi,phase,gap")
+    records = list(run_sweep(cfg))
+    csv_buf, json_buf = io.StringIO(), io.StringIO()
+    write_csv(records, csv_buf)
+    write_json(replace(cfg, format="json"), records, json_buf)
+    cells = [c for line in csv_buf.getvalue().splitlines() for c in line.split(",")]
+    assert "0" in cells and "-0" not in cells
+    assert "-0.0" not in json_buf.getvalue()
 
 
 def test_json_output_shape():

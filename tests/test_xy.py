@@ -122,6 +122,8 @@ def test_magnetization_zero_field():
     # e_g is even in h
     for p in (XYParams(1.0, 0.0, 0.0), XYParams(2.0, 1.0, 0.0)):
         assert xy_magnetization(p, dh=1e-4).value == pytest.approx(0.0, abs=1e-8)
+    # the Ising chain's e(h) and e(-h) are equal to the bit: an unsigned zero
+    assert math.copysign(1.0, xy_magnetization(XYParams(1.0, 0.0, 0.0)).value) == 1.0
 
 
 def test_magnetization_straddle_flag():
@@ -217,6 +219,25 @@ def test_susceptibility_ordered_isotropic():
     # chi = 1/(pi*j*sin k*) in the gapless window: 2/(pi*sqrt(3)) at h = j = 1
     chi = xy_susceptibility(XYParams(1.0, 1.0, 1.0), QuadratureSpec(tol=1e-12), dh=1e-4)
     assert chi.value == pytest.approx(2.0 / (math.pi * math.sqrt(3.0)), abs=1e-6)
+
+
+# e(h) of XYParams(1, 0.9999, h) to 30 digits: mpmath 1.3.0 quad at 40 and at
+# 60 digits (the two agree), over the exact binary js, jd and h, with break
+# points at k* = arccos(-h/js) and at k* +- 1e-4 and k* +- 1e-2
+_NEAR_KINK_REFERENCES = {
+    0.3: -1.28752760546887822256445086041,
+    1.0: -1.43593600683750714114488300935,
+    1.7: -1.77024078043794969563062124436,
+}
+
+
+@pytest.mark.parametrize("h", sorted(_NEAR_KINK_REFERENCES))
+def test_energy_density_near_a_kink_matches_the_reference(h):
+    # jd = 1e-4 rounds the kink off: no break point, so panel doubling runs
+    # on [0, pi] unsplit past the cached layouts, to 131,072 nodes
+    e = xy_energy_density(XYParams(1.0, 0.9999, h))
+    assert e.nodes == 131072
+    assert abs(e.value - _NEAR_KINK_REFERENCES[h]) <= 1e-12
 
 
 @pytest.mark.parametrize("jx,jy,h", [(2.0, 1.0, 1.5), (1.0, 0.0, 0.7), (1.0, 1.0, 2.5)])
