@@ -151,14 +151,14 @@ def dopo_critical_detuning(p: DopoParams) -> float:
     detuning rises from the normal phase along a negative-delta sweep."""
     if p.j < 0:
         raise ValueError(f"need j >= 0, got {p.j}")
-    return -2.0 * p.j - p.drive()
+    return 0.0 - 2.0 * p.j - p.drive()  # no -0 at j = d2 = 0
 
 
 def dopo_threshold_detunings(p: DopoParams) -> tuple[float, float, float, float]:
     """All four algebraic thresholds {+-2j +- sqrt(d2)}, sorted ascending."""
     drive = p.drive()
     two_j = 2.0 * abs(p.j)
-    return tuple(sorted((-two_j - drive, -two_j + drive, two_j - drive, two_j + drive)))
+    return tuple(sorted((0.0 - two_j - drive, -two_j + drive, two_j - drive, two_j + drive)))
 
 
 def dopo_classify_phase(p: DopoParams, tol: float = STABILITY_TOL) -> str:

@@ -12,14 +12,15 @@ real arithmetic:
 
 A pair flip keeps the parity prod_i sz_i (Lieb, Schultz & Mattis 1961), so
 each parity sector is a closed block of 2^(n-1) states, solved on its own and
-merged afterwards. The dense method diagonalizes each block as a full matrix
-(about 33 MB per block at n = 12, the dense limit); the Lanczos method runs
-ARPACK's implicitly restarted Lanczos (scipy's eigsh) on the sparse block and
-goes to n = 20. ed_ground_state stays dense unless asked otherwise; callers that
-leave the choice to this module (ed_vs_analytic, validate) get dense to n = 8
-and ARPACK above, where it is faster: at n = 12, about 1.6 s dense against
-0.015 s ARPACK on one BLAS thread of a 2-vCPU x86 host, with energies equal to
-about 1e-13. scipy is imported only when a ring is solved.
+merged afterwards. Each block is built once, as a sparse matrix. The dense
+method diagonalizes every block as a full matrix (about 33 MB per block at
+n = 12, the dense limit) and is the reference. The Lanczos method does the same
+for blocks of at most 128 states (n <= 8), where that is faster, and runs
+ARPACK's implicitly restarted Lanczos (scipy's eigsh) on the sparse block above
+that, to n = 20: at n = 12, about 0.015 s against 1.6 s dense on one BLAS
+thread of a 2-vCPU x86 host, with energies equal to about 1e-13.
+ed_ground_state is dense unless asked otherwise; ed_vs_analytic and validate
+use Lanczos. scipy is imported only when a block is built.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ EVEN = "even"
 ODD = "odd"
 
 _DENSE_MAX = 12
-_DENSE_DEFAULT_MAX = 8   # blocks of up to 128 states, where dense beats ARPACK
 _LANCZOS_MAX = 20
-_DENSE_LEVELS = 8        # lowest levels kept per block by the dense method
-_ARPACK_MIN_DIM = 64     # blocks near ARPACK's 20-vector Krylov space or below go dense
+_DENSE_BLOCK_MAX = 128   # n <= 8: the Lanczos method solves blocks this small dense, faster
+_DENSE_LEVELS = 8        # lowest levels kept per block by the dense solver
 _ARPACK_SEED = 20240917  # fixed start vector: repeated calls give equal results
 _ARPACK_TOL = 1e-12      # relative residual, so each level is within 1e-12 |E|
 _DEGENERACY_TOL = 1e-9
@@ -70,16 +70,19 @@ def _hamiltonian_rows(p: XYParams, n: int, states: np.ndarray, shift: int):
     return np.stack(cols, axis=1), np.stack(amps, axis=1)
 
 
-def _dense(cols: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    dim = len(cols)
-    ham = np.zeros((dim, dim))
-    np.add.at(ham, (np.arange(dim)[:, None], cols), amps)  # n = 2: both bonds flip one pair
-    return ham
+def _block(cols: np.ndarray, amps: np.ndarray):
+    """The rows from _hamiltonian_rows as a CSR matrix. Entries of a row that
+    share a column stand for their sum, as toarray and the sparse product both
+    read them (at n = 2 both bonds flip one pair)."""
+    import scipy.sparse
+
+    indptr = np.arange(0, amps.size + 1, amps.shape[1])
+    return scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(len(cols),) * 2)
 
 
 def spin_hamiltonian_dense(p: XYParams, n: int) -> np.ndarray:
     """Full 2^n x 2^n real symmetric Hamiltonian matrix."""
-    return _dense(*_hamiltonian_rows(p, n, np.arange(1 << n, dtype=np.int64), 0))
+    return _block(*_hamiltonian_rows(p, n, np.arange(1 << n, dtype=np.int64), 0)).toarray()
 
 
 def _sector_levels(p: XYParams, n: int, odd: int, method: str):
@@ -87,22 +90,19 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
     # the upper n-1 bits index the state; the lowest bit fixes its parity
     upper = np.arange(1 << (n - 1), dtype=np.int64)
     states = (upper << 1) | ((np.bitwise_count(upper) & 1) ^ odd)
+    ham = _block(*_hamiltonian_rows(p, n, states, 1))
     dim = len(states)
-    cols, amps = _hamiltonian_rows(p, n, states, 1)
-    if method == DENSE or dim < _ARPACK_MIN_DIM:
+    if method == DENSE or dim <= _DENSE_BLOCK_MAX:
         import scipy.linalg
 
         # the block is symmetric, so its transpose is the same matrix in the
         # Fortran order that LAPACK can overwrite without taking a copy
         levels, vecs = scipy.linalg.eigh(
-            _dense(cols, amps).T, overwrite_a=True,
+            ham.toarray().T, overwrite_a=True,
             subset_by_index=(0, min(_DENSE_LEVELS, dim) - 1))
     else:
-        import scipy.sparse
         import scipy.sparse.linalg
 
-        indptr = np.arange(0, amps.size + 1, n + 1)
-        ham = scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(dim, dim))
         v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
         try:
             levels, vecs = scipy.sparse.linalg.eigsh(ham, k=2, which="SA", v0=v0,
@@ -114,19 +114,15 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
     return levels, (vecs * vecs).T @ (n - 2.0 * np.bitwise_count(states))
 
 
-def _default_method(n: int) -> str:
-    """The solver for an n-site ring when the caller names none."""
-    return DENSE if n <= _DENSE_DEFAULT_MAX else LANCZOS
-
-
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
     """Ground energy, magnetization, parity and gap of the n-site ring.
 
     Both methods solve the even and odd parity sectors separately and merge
     their lowest levels, so the gap spans both sectors. The dense method
-    covers n <= 12 (two 2^(n-1) blocks, ~33 MB each at the limit); the sparse
-    ARPACK method covers n <= 20. m_z is averaged over the degenerate ground
-    group among the levels each method keeps (8 per sector dense, 2 ARPACK).
+    covers n <= 12 (two 2^(n-1) blocks, ~33 MB each at the limit); the Lanczos
+    method covers n <= 20, dense on blocks of at most 128 states and ARPACK
+    above. m_z is averaged over the degenerate ground group among the levels
+    each block's solver keeps (8 per block dense, 2 ARPACK).
     The zero Hamiltonian is answered exactly, without building a block.
     """
     if not 2 <= n <= _LANCZOS_MAX:
@@ -155,8 +151,10 @@ class SectorComparison:
     """ED ground energy against -(1/2) sum_k E_k on both momentum sectors.
 
     The fermionized ring's admissible grid depends on the ground state's
-    parity sector, which the closed-form sum by itself does not know; this
-    report settles it empirically per parameter point.
+    parity sector, which the closed-form sum by itself does not know. The
+    parity identity settles it: the even sector of prod_i sz_i takes the
+    antiperiodic grid, the odd one the periodic grid (Lieb, Schultz & Mattis
+    1961). The residuals report how far each sum is from ED.
     """
 
     n: int
@@ -165,20 +163,16 @@ class SectorComparison:
     antiperiodic_sum: float
     residual_periodic: float
     residual_antiperiodic: float
-    matched_sector: str     # sector with the smaller absolute residual
+    matched_sector: str     # the grid of the ED ground state's parity sector
 
 
-def ed_vs_analytic(p: XYParams, n: int, method: str | None = None) -> SectorComparison:
-    """Compare ED against the closed-form sector sums (report, not an assert).
-    With no method, rings of up to 8 sites are solved dense, larger ones on ARPACK."""
+def ed_vs_analytic(p: XYParams, n: int, method: str = LANCZOS) -> SectorComparison:
+    """Compare ED against the closed-form sector sums (report, not an assert)."""
     if n % 2:
         raise ValueError(f"sector sums need even n, got {n}")
-    if method is None:
-        method = _default_method(n)
     ed = ed_ground_state(p, n, method)
     periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
     anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))
-    res_p = ed.ground_energy - periodic
-    res_a = ed.ground_energy - anti
-    matched = PERIODIC if abs(res_p) <= abs(res_a) else ANTIPERIODIC
-    return SectorComparison(n, ed.ground_energy, periodic, anti, res_p, res_a, matched)
+    matched = ANTIPERIODIC if ed.parity == EVEN else PERIODIC
+    return SectorComparison(n, ed.ground_energy, periodic, anti, ed.ground_energy - periodic,
+                            ed.ground_energy - anti, matched)

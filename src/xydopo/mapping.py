@@ -56,8 +56,8 @@ def map_xy_to_dopo(p: XYParams) -> MappingResult:
     root = math.sqrt(prod)
     d = DopoParams(
         j=2.0 * root,
-        delta=-p.h * p.js / root,
-        d2=p.jd ** 2 * (p.h ** 2 / prod - 4.0),
+        delta=0.0 - p.h * p.js / root,  # 0.0 - x and x + 0.0: an unsigned zero
+        d2=p.jd ** 2 * (p.h ** 2 / prod - 4.0) + 0.0,
     )
     return MappingResult(d, d.d2 >= 0.0, p)
 

@@ -12,9 +12,10 @@ density with respect to the sweep's own control parameter.
 
 Flags column tokens, in the order they appear:
     critical      nearest grid point to a critical field / detuning in range
+                  (for dopo sweeps, the two phase boundaries -+(2|j| + sqrt(d2)))
     unstable-step derivative omitted because a stencil point was unstable
     straddle      the finite-difference window [c-dh, c+dh] contains a critical field
-                  (xy and mapped sweeps)
+                  / detuning
 
 SweepRecord's fields, in order, are the CSV columns and the JSON keys. CSV
 uses 12 significant digits, so identical configurations give identical bytes.
@@ -39,7 +40,7 @@ from .dopo import (
     dopo_gap,
     dopo_threshold_detunings,
 )
-from .ed import _default_method, ed_ground_state, ed_vs_analytic
+from .ed import LANCZOS, ed_ground_state, ed_vs_analytic
 from .mapping import map_dopo_to_xy, map_energy_density, map_xy_to_dopo, verify_spectral_match
 from .quadrature import QuadratureSpec
 from .types import (
@@ -272,8 +273,7 @@ def _evaluate_point(cfg: SweepConfig, c: float, critical: list[float],
     flags = ["critical"] if nearest_critical else []
     if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
         flags.append("unstable-step")
-    if derivatives and cfg.model != "dopo" \
-            and any(abs(c - crit) < dh for crit in critical):
+    if derivatives and any(abs(c - crit) < dh for crit in critical):
         flags.append("straddle")
     return SweepRecord(control=c, **axes, e_g=mid if "e_g" in wants else None,
                        m_z=m_z, chi=chi, phase=phase() if "phase" in wants else None,
@@ -284,7 +284,9 @@ def _critical_controls(cfg: SweepConfig) -> list[float]:
     try:
         if cfg.model in ("xy", "mapped"):
             return [hc for hc, _ in xy_critical_fields(cfg.params).values]
-        return list(dopo_threshold_detunings(cfg.params))
+        # the inner thresholds -+(2|j| - sqrt(d2)) lie inside the unstable window
+        lowest, *_, highest = dopo_threshold_detunings(cfg.params)
+        return [lowest, highest]
     except (DegenerateModelError, NonphysicalDriveError):
         return []
 
@@ -505,7 +507,7 @@ def _ed_rows():
     for jx, jy, hc in ((2.0, 1.0, 3.0), (1.0, 1.0, 2.0), (1.0, 0.0, 1.0)):
         p = XYParams(jx, jy, 1.5 * hc)
         for n in (6, 8, 10, 12):
-            e0 = ed_ground_state(p, n, _default_method(n)).ground_energy
+            e0 = ed_ground_state(p, n, LANCZOS).ground_energy
             yield f"|E_ED - E_ring| at {p}, n={n}", abs(e0 - xy_ground_energy_ring(p, n)), 1e-10
         yield f"|E_ED/n - e| at {p}, n={n}", abs(e0 / n - xy_energy_density(p).value), 0.02
 
@@ -519,8 +521,8 @@ def _sector_rows():
 def run_validate(level: str = "quick") -> ValidationReport:
     """The fixed example checks (quick), then the randomized and ED checks
     (full), in the order listed below. The ED table solves rings of 6 to 12
-    sites, dense to 8 and ARPACK above, and holds every ground energy to the
-    exact ring energy within 1e-10."""
+    sites by the Lanczos method and holds every ground energy to the exact
+    ring energy within 1e-10."""
     if level not in ("quick", "full"):
         raise ConfigError(f"level must be quick or full, got {level!r}")
     anchors = ((XYParams(1, 0, 0), -1.0, 1e-10), (XYParams(1, 0, 1), -4.0 / math.pi, 1e-8),

@@ -86,7 +86,7 @@ def xy_energy_density(p: XYParams, quad: QuadratureSpec = QuadratureSpec()) -> I
     raw = integrate(lambda k: xy_dispersion(p, k), 0.0, math.pi, quad,
                     breaks=xy_band(p).kinks())
     scale = 1.0 / (2.0 * math.pi)
-    return Integral(-raw.value * scale, raw.error * scale, raw.nodes)
+    return Integral(0.0 - raw.value * scale, raw.error * scale, raw.nodes)  # no -0
 
 
 class FieldDerivative(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -53,6 +54,20 @@ def test_map_missing_arguments(capsys):
     code, _, err = run_cli(capsys, "map", "--jx", "2")
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--jx", "1", "--jy", "1", "--h", "0"),
+    ("sweep", "--model", "xy", "--jx", "0", "--jy", "0", "--start", "-1", "--stop", "1",
+     "--steps", "3", "--outputs", "e_g,m_z,chi,phase,gap"),
+    ("critical", "--j", "0"),
+], ids=["map-isotropic-h0", "sweep-zero-couplings", "critical-j0"])
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")], ids=["default", "json"])
+def test_zero_is_written_unsigned(capsys, argv, fmt):
+    code, out, _ = run_cli(capsys, *argv, *fmt)
+    assert code == 0
+    tokens = re.split(r"[\s,:=\[\]{}]+", out)
+    assert {"0", "0.0"} & set(tokens) and not {"-0", "-0.0"} & set(tokens), out
 
 
 def test_spectrum_csv_schema(capsys):

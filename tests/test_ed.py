@@ -10,6 +10,7 @@ import xydopo
 from xydopo.ed import (
     EVEN,
     ODD,
+    _hamiltonian_rows,
     ed_ground_state,
     ed_vs_analytic,
     spin_hamiltonian_dense,
@@ -27,6 +28,20 @@ def test_hamiltonian_is_exactly_symmetric():
     for p in (XYParams(1.0, 0.0, 0.5), XYParams(2.0, 1.0, 1.3), XYParams(0.7, 0.7, 0.0)):
         ham = spin_hamiltonian_dense(p, 6)
         assert np.array_equal(ham, ham.T)
+
+
+@pytest.mark.parametrize("point", [(1.0, 0.0, 0.5), (2.0, 1.0, 1.3), (0.7, 0.7, 0.0),
+                                   (1.0, 1.0, 3.0), (0.0, 0.0, 0.0)])
+def test_hamiltonian_matches_scatter_construction(point):
+    # the CSR block written out dense, against np.add.at over the same rows,
+    # bit for bit (at n = 2 both bonds add to one entry)
+    p = XYParams(*point)
+    for n in range(2, 9):
+        dim = 1 << n
+        cols, amps = _hamiltonian_rows(p, n, np.arange(dim, dtype=np.int64), 0)
+        want = np.zeros((dim, dim))
+        np.add.at(want, (np.arange(dim)[:, None], cols), amps)
+        assert spin_hamiltonian_dense(p, n).tobytes() == want.tobytes(), n
 
 
 def test_free_spins_align_with_field():
@@ -57,6 +72,20 @@ def test_sector_comparison_ising_paramagnet():
     assert cmp.matched_sector == ANTIPERIODIC
     assert abs(cmp.residual_antiperiodic) < 1e-9
     assert abs(cmp.residual_periodic) > 1e-4  # deviates at O(1/n)
+
+
+@pytest.mark.parametrize("point, n, sector", [
+    *[((1.0, 1.0, 3.0), n, ANTIPERIODIC) for n in (4, 6, 8, 10)],  # polarized: a tie
+    *[((1.0, 0.0, 0.0), n, ANTIPERIODIC) for n in (4, 6, 8, 10)],  # Ising at h = 0: a tie
+    ((1.0, 1.0, 0.7), 8, PERIODIC), ((2.0, 1.0, 1.5), 4, PERIODIC),
+])
+def test_matched_sector_follows_ground_state_parity(point, n, sector):
+    # an even ground state takes the antiperiodic grid, an odd one the periodic
+    # grid, also where both sector sums equal the ED energy
+    cmp = ed_vs_analytic(XYParams(*point), n)
+    assert cmp.matched_sector == sector
+    matched = cmp.residual_antiperiodic if sector == ANTIPERIODIC else cmp.residual_periodic
+    assert abs(matched) < 1e-12
 
 
 def test_sector_comparison_runs_on_two_sites():
@@ -138,6 +167,31 @@ def test_lanczos_matches_dense():
             assert lanczos.ground_energy == pytest.approx(dense.ground_energy, abs=1e-11)
             assert lanczos.gap == pytest.approx(dense.gap, abs=1e-11)
             assert lanczos.ground_m_z == pytest.approx(dense.ground_m_z, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_lanczos_solves_blocks_of_up_to_128_states_dense(n):
+    rng = np.random.default_rng(73)
+    points = [(2.0, 1.0, 1.5), (1.0, 1.0, 0.7), (1.0, 0.0, 2.0)]
+    points += [tuple(rng.uniform(0.1, 2.5, size=2)) + (rng.uniform(-3.0, 3.0),) for _ in range(3)]
+    for point in points:
+        p = XYParams(*point)
+        assert ed_ground_state(p, n, "lanczos") == ed_ground_state(p, n, "dense"), point
+
+
+def test_lanczos_runs_arpack_on_larger_blocks(monkeypatch):
+    import scipy.sparse.linalg
+
+    dims = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(a, *args, **kwargs):
+        dims.append(a.shape[0])
+        return eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    ed_ground_state(XYParams(2.0, 1.0, 1.5), 9, "lanczos")
+    assert dims == [256, 256]  # both parity blocks of the 9-site ring
 
 
 def test_lanczos_larger_ring_against_sector_sum():

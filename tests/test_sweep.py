@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -196,6 +197,16 @@ def test_dopo_sweep_derivative_steps_near_instability():
     assert "unstable-step" in records[1].flags
 
 
+@pytest.mark.parametrize("d2, boundaries", [(1.0, [-5.0, 5.0]), (0.0, [-4.0, 4.0])],
+                         ids=["driven", "undriven"])
+def test_dopo_sweep_flags_only_the_phase_boundaries(d2, boundaries):
+    # the inner thresholds -+(2|j| - sqrt(d2)) lie inside the superradiant window
+    cfg = config_from_dict(dict(model="dopo", j=2.0, d2=d2, start=-6.0, stop=6.0, steps=13))
+    records = list(run_sweep(cfg))
+    for token in ("critical", "straddle"):
+        assert [r.control for r in records if token in r.flags.split(";")] == boundaries, token
+
+
 def test_unrequested_phase_stays_empty():
     dopo = config_from_dict(dict(model="dopo", j=2.0, d2=1.0, start=-6.0, stop=-4.0,
                                  steps=5, outputs="e_g"))
@@ -305,15 +316,18 @@ def test_csv_twelve_digit_format():
 
 
 def test_no_signed_zero_cells():
-    # m_z at h = 0 and chi where e(h) is linear are exact zeros, written unsigned
-    cfg = preset_config("fig2-iso", outputs="e_g,m_z,chi,phase,gap")
-    records = list(run_sweep(cfg))
-    csv_buf, json_buf = io.StringIO(), io.StringIO()
-    write_csv(records, csv_buf)
-    write_json(replace(cfg, format="json"), records, json_buf)
-    cells = [c for line in csv_buf.getvalue().splitlines() for c in line.split(",")]
-    assert "0" in cells and "-0" not in cells
-    assert "-0.0" not in json_buf.getvalue()
+    # exact zeros (m_z at h = 0, chi where e(h) is linear, a mapped delta at
+    # h = 0) are written unsigned
+    for preset in PRESETS:
+        cfg = preset_config(preset, outputs="e_g,m_z,chi,phase,gap")
+        records = list(run_sweep(cfg))
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        write_csv(records, csv_buf)
+        write_json(replace(cfg, format="json"), records, json_buf)
+        cells = [c for line in csv_buf.getvalue().splitlines() for c in line.split(",")]
+        tokens = re.split(r"[\s,:\[\]{}]+", json_buf.getvalue())
+        assert "0" in cells and "-0" not in cells, preset
+        assert "0.0" in tokens and "-0.0" not in tokens, preset
 
 
 def test_json_output_shape():
@@ -429,16 +443,16 @@ def test_validate_full_passes_in_documented_order():
 
 
 def test_validate_full_builds_no_large_dense_block(monkeypatch):
-    import xydopo.ed as ed_mod
+    import scipy.linalg
 
     sizes = []
-    dense = ed_mod._dense
+    eigh = scipy.linalg.eigh
 
-    def spy(cols, amps):
-        sizes.append(len(cols))
-        return dense(cols, amps)
+    def spy(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(ed_mod, "_dense", spy)
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
     assert run_validate("full").passed
     # rings of up to 8 sites go dense (parity blocks of 128 states), larger ones to ARPACK
     assert max(sizes) == 128
