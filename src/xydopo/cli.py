@@ -43,8 +43,9 @@ from .xy import xy_spectrum
 _PARAM_FLAGS = tuple(f.name for cls in (XYParams, DopoParams) for f in fields(cls))
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+def _add_common(sub, json_only=False):
+    # critical and validate write a text report or JSON; they have no CSV form
+    sub.add_argument("--format", choices=("json",) if json_only else ("csv", "json"), default=None)
     sub.add_argument("--out", default="-", help="output path (default stdout)")
 
 
@@ -59,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         if key not in ("format", "note"):  # --format comes with --out below
             sweep.add_argument("--" + key.replace("_", "-"),
                                choices=MODELS if key == "model" else None)
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; sweeps run in one process")
     _add_common(sweep)
 
     spectrum = subs.add_parser("spectrum", help="dump E_k or Omega_k^2 over a grid")
@@ -76,11 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
                       (crit, ("jx", "jy", "j", "d2"))):
         for key in keys:
             sub.add_argument("--" + key, type=float)
-        _add_common(sub)
+        _add_common(sub, json_only=sub is crit)
 
     val = subs.add_parser("validate", help="run the built-in validation suite")
     val.add_argument("--level", choices=("quick", "full"), default="quick")
-    _add_common(val)
+    _add_common(val, json_only=True)
 
     return parser
 

@@ -147,11 +147,9 @@ def dopo_squeezing(p: DopoParams, k: float) -> SqueezingParams:
 
 
 def dopo_critical_detuning(p: DopoParams) -> float:
-    """Threshold detuning -2*j - sqrt(d2), the branch reached first when the
-    detuning rises from the normal phase along a negative-delta sweep."""
-    if p.j < 0:
-        raise ValueError(f"need j >= 0, got {p.j}")
-    return 0.0 - 2.0 * p.j - p.drive()  # no -0 at j = d2 = 0
+    """Threshold detuning -2|j| - sqrt(d2), the lowest of the four, reached
+    first when the detuning rises from the normal phase."""
+    return dopo_threshold_detunings(p)[0]
 
 
 def dopo_threshold_detunings(p: DopoParams) -> tuple[float, float, float, float]:
@@ -161,15 +159,16 @@ def dopo_threshold_detunings(p: DopoParams) -> tuple[float, float, float, float]
     return tuple(sorted((0.0 - two_j - drive, -two_j + drive, two_j - drive, two_j + drive)))
 
 
-def dopo_classify_phase(p: DopoParams, tol: float = STABILITY_TOL) -> str:
+def dopo_classify_phase(p: DopoParams) -> str:
     """Normal / superradiant / critical from the closed-form band minimum.
 
-    superradiant: min_k Omega_k^2 < -tol (exactly the points where
+    superradiant: min_k Omega_k^2 < -STABILITY_TOL (exactly the points where
     dopo_energy_density raises), or (d2 = 0 boundary) eps_k changes sign
     strictly inside its band [delta - 2|j|, delta + 2|j|]; critical: the
     spectrum touches zero without a sign change; normal otherwise.
     """
     m = dopo_band(p).minimum()
+    tol = STABILITY_TOL
     if m < -tol:
         return SUPERRADIANT
     if p.d2 <= tol and p.delta - 2.0 * abs(p.j) < -tol and p.delta + 2.0 * abs(p.j) > tol:

@@ -166,11 +166,11 @@ class SectorComparison:
     matched_sector: str     # the grid of the ED ground state's parity sector
 
 
-def ed_vs_analytic(p: XYParams, n: int, method: str = LANCZOS) -> SectorComparison:
-    """Compare ED against the closed-form sector sums (report, not an assert)."""
+def ed_vs_analytic(p: XYParams, n: int) -> SectorComparison:
+    """Compare Lanczos ED against the closed-form sector sums (report, not an assert)."""
     if n % 2:
         raise ValueError(f"sector sums need even n, got {n}")
-    ed = ed_ground_state(p, n, method)
+    ed = ed_ground_state(p, n, LANCZOS)
     periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
     anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))
     matched = ANTIPERIODIC if ed.parity == EVEN else PERIODIC

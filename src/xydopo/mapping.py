@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dopo, xy
-from .quadrature import QuadratureSpec
 from .types import (
     DopoParams,
     MomentumGrid,
@@ -62,12 +61,12 @@ def map_xy_to_dopo(p: XYParams) -> MappingResult:
     return MappingResult(d, d.d2 >= 0.0, p)
 
 
-def map_dopo_to_xy(d: DopoParams, h: float, residual_tol: float = 1e-9) -> XYParams | None:
+def map_dopo_to_xy(d: DopoParams, h: float) -> XYParams | None:
     """Invert the map at a chosen field h, or return None when no real
     non-negative coupling pair is consistent with (j, delta, d2).
 
     The couplings solve jx*jy = j^2/4 and jx + jy = -delta*(j/2)/h; the d2
-    component is then a consistency check with tolerance residual_tol.
+    component is then a consistency check with tolerance 1e-9.
     """
     if not d.j > 0:
         raise ValueError(f"need j > 0, got {d.j}")
@@ -76,7 +75,7 @@ def map_dopo_to_xy(d: DopoParams, h: float, residual_tol: float = 1e-9) -> XYPar
         if d.delta != 0.0:
             return None
         # at h = 0: d2 = -4*jd^2, so jd^2 = -d2/4 and js = sqrt(jd^2 + 4*prod)
-        if d.d2 > residual_tol:
+        if d.d2 > 1e-9:
             return None
         jd_sq = max(-d.d2, 0.0) / 4.0
         s = math.sqrt(jd_sq + 4.0 * prod)
@@ -85,7 +84,7 @@ def map_dopo_to_xy(d: DopoParams, h: float, residual_tol: float = 1e-9) -> XYPar
     if s < 0.0:
         return None
     disc = s * s - 4.0 * prod
-    if disc < -residual_tol:
+    if disc < -1e-9:
         return None
     disc = max(disc, 0.0)
     jx = 0.5 * (s + math.sqrt(disc))
@@ -94,7 +93,7 @@ def map_dopo_to_xy(d: DopoParams, h: float, residual_tol: float = 1e-9) -> XYPar
     jy = prod / jx  # avoids cancellation in (s - sqrt(disc))/2
     candidate = XYParams(jx, jy, h)
     implied = map_xy_to_dopo(candidate)
-    if abs(implied.dopo.d2 - d.d2) > residual_tol or abs(implied.dopo.delta - d.delta) > residual_tol:
+    if abs(implied.dopo.d2 - d.d2) > 1e-9 or abs(implied.dopo.delta - d.delta) > 1e-9:
         return None
     return candidate
 
@@ -118,20 +117,20 @@ class MapEnergyReport(NamedTuple):
     stable: bool
 
 
-def map_energy_density(p: XYParams, quad: QuadratureSpec = QuadratureSpec()) -> MapEnergyReport:
+def map_energy_density(p: XYParams) -> MapEnergyReport:
     """Evaluate both sides of the energy-density shift identity independently.
 
     The chain side uses the XY quadrature, the network side the oscillator
-    quadrature of the mapped parameters; the report carries their difference
-    against the shift h*(jx+jy)/(2*sqrt(jx*jy)). If the mapped network has an
-    unstable window the network side is reported as such and the residual is
-    omitted.
+    quadrature of the mapped parameters, both at the default QuadratureSpec;
+    the report carries their difference against the shift
+    h*(jx+jy)/(2*sqrt(jx*jy)). If the mapped network has an unstable window
+    the network side is reported as such and the residual is omitted.
     """
     mapped = map_xy_to_dopo(p)
-    e_xy = xy.xy_energy_density(p, quad).value
+    e_xy = xy.xy_energy_density(p).value
     shift = p.h * p.js / (2.0 * math.sqrt(p.jx * p.jy))
     try:
-        e_dopo = dopo.dopo_energy_density(mapped.dopo, quad).value
+        e_dopo = dopo.dopo_energy_density(mapped.dopo).value
     except UnstablePhaseError:
         return MapEnergyReport(e_xy, None, None, False)
     return MapEnergyReport(e_xy, e_dopo, e_dopo - (-e_xy + shift), True)

@@ -371,13 +371,10 @@ def run_critical(params: XYParams | DopoParams) -> dict:
             m = map_xy_to_dopo(params.with_h(hc))
             row = {"h_c": hc, "delta_at_hc": m.dopo.delta, "physical": m.physical}
             if m.physical:
-                # positive h_c reaches the -2j - drive threshold; negative h_c
-                # lands on the mirrored +2j + drive branch
-                threshold = dopo_critical_detuning(m.dopo)
-                if hc < 0:
-                    threshold = -threshold
-                row["delta_c"] = threshold
-                row["residual"] = m.dopo.delta - threshold
+                # positive h_c reaches the lowest threshold, -2j - drive;
+                # negative h_c the highest, its mirror +2j + drive
+                row["delta_c"] = dopo_threshold_detunings(m.dopo)[0 if hc > 0 else -1]
+                row["residual"] = m.dopo.delta - row["delta_c"]
             mapped_rows.append(row)
         report["mapped"] = mapped_rows
     return report
@@ -395,13 +392,13 @@ def format_critical(report: dict) -> str:
         for row in report.get("mapped", []):
             if row.get("physical"):
                 lines.append(
-                    f"mapped: delta(h_c={row['h_c']:+g}) = {row['delta_at_hc']:.12g}, "
+                    f"mapped: delta(h_c={row['h_c']:+.12g}) = {row['delta_at_hc']:.12g}, "
                     f"matching threshold = {row['delta_c']:.12g} "
                     f"(residual {row['residual']:.3e})"
                 )
             else:
                 lines.append(
-                    f"mapped: delta(h_c={row['h_c']:+g}) = {row['delta_at_hc']:.12g} "
+                    f"mapped: delta(h_c={row['h_c']:+.12g}) = {row['delta_at_hc']:.12g} "
                     f"(d2 < 0: no physical drive)"
                 )
     return "\n".join(lines)

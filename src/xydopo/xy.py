@@ -168,8 +168,8 @@ def xy_critical_fields(p: XYParams) -> CriticalFieldSet:
     return CriticalFieldSet(((-p.js, 0.0), (p.js, math.pi)), case)
 
 
-def xy_phase(p: XYParams, tol: float = 1e-12) -> str:
-    """Ordered for |h| < jx+jy, paramagnetic for |h| > jx+jy, critical within tol.
+def xy_phase(p: XYParams) -> str:
+    """Ordered for |h| < jx+jy, paramagnetic for |h| > jx+jy, critical within 1e-12.
 
     Only ferromagnetic couplings jx, jy >= 0 are classified.
     """
@@ -178,7 +178,7 @@ def xy_phase(p: XYParams, tol: float = 1e-12) -> str:
             f"phase classification needs jx, jy >= 0, got ({p.jx}, {p.jy})"
         )
     margin = abs(p.h) - p.js
-    if abs(margin) <= tol:
+    if abs(margin) <= 1e-12:
         return CRITICAL
     return PARAMAGNETIC if margin > 0 else ORDERED
 

@@ -19,6 +19,12 @@ def test_critical_xy(capsys):
     assert "h_c = +3" in out and "anisotropic" in out
 
 
+def test_critical_mapped_h_c_to_12_digits(capsys):
+    code, out, _ = run_cli(capsys, "critical", "--jx", "1", "--jy", "1.000000001")
+    assert code == 0
+    assert "mapped: delta(h_c=+2.000000001) = -4.000000002," in out
+
+
 def test_critical_dopo_json(capsys):
     code, out, _ = run_cli(capsys, "critical", "--j", "2", "--d2", "0", "--format", "json")
     assert code == 0
@@ -90,8 +96,7 @@ def test_spectrum_dopo(capsys):
 def test_sweep_preset_to_file(tmp_path, capsys):
     target = tmp_path / "sweep.csv"
     code, _, _ = run_cli(capsys, "sweep", "--preset", "fig2-tfi", "--steps", "5",
-                         "--outputs", "e_g,phase", "--workers", "1",
-                         "--out", str(target))
+                         "--outputs", "e_g,phase", "--out", str(target))
     assert code == 0
     lines = target.read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -104,8 +109,7 @@ def test_sweep_config_file_and_flag_precedence(tmp_path, capsys):
         "model": "xy", "jx": 1.0, "jy": 0.0,
         "start": 0.0, "stop": 1.0, "steps": 5, "outputs": "phase",
     }))
-    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--steps", "7",
-                           "--workers", "1")
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--steps", "7")
     assert code == 0
     assert len(out.splitlines()) == 8  # header + 7 records: flag wins over file
 
@@ -122,8 +126,7 @@ def test_sweep_numerical_error_exit_code(capsys):
     # 1e-12 is unreachable within 4096 nodes
     code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "0.999",
                            "--start", "1.0", "--stop", "1.5", "--steps", "2",
-                           "--outputs", "e_g", "--tol", "1e-12", "--max-nodes", "4096",
-                           "--workers", "1")
+                           "--outputs", "e_g", "--tol", "1e-12", "--max-nodes", "4096")
     assert code == 3
     assert "numerical" in err
 
@@ -217,9 +220,34 @@ def test_flag_of_the_other_model_exits_2(capsys, argv, named):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("critical", "--jx", "2", "--jy", "1", "--format", "csv"),
+    ("validate", "--format", "csv"),
+    ("sweep", "--preset", "fig2-tfi", "--workers", "1"),
+], ids=["critical-csv", "validate-csv", "sweep-workers"])
+def test_option_without_an_effect_exits_2(capsys, argv):
+    # critical and validate have no CSV form, and sweeps run in one process
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["spectrum", "--model", "xy", "--jx", "1", "--jy", "0", "--n", "3"], "error: n must be "),
+    (["sweep", "--preset", "fig2-tfi", "--steps", "5", "--out", "{tmp}/missing/out.csv"],
+     "error: [Errno 2] "),
+], ids=["spectrum-odd-n", "sweep-missing-directory"])
+def test_value_and_os_errors_exit_2(tmp_path, capsys, argv, named):
+    code, out, err = run_cli(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert err.startswith(named) and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_flags_are_the_sweep_keys():
     flags = set(vars(build_parser().parse_args(["sweep"]))) - {"command"}
-    assert flags == set(SWEEP_KEYS) - {"note"} | {"preset", "config", "workers", "out"}
+    assert flags == set(SWEEP_KEYS) - {"note"} | {"preset", "config", "out"}
 
 
 def test_validate_quick_exit_zero(capsys):
@@ -266,10 +294,13 @@ def test_validate_json(capsys):
      ["model", "model_case", "critical_fields", "mapped"], "model case: anisotropic", 0),
     (["critical", "--j", "2", "--d2", "1"],
      ["model", "delta_c", "thresholds"], "delta_c = -5", 0),
+    # the thresholds depend on |j| only, as in sweeps and the classifier
+    (["critical", "--j", "-2", "--d2", "1"],
+     ["model", "delta_c", "thresholds"], "delta_c = -5", 0),
     (["validate", "--level", "quick"],
      ["level", "passed", "checks"], "[ok] grid cosine sums: ", 0),
 ], ids=["spectrum-xy", "spectrum-dopo", "map-forward", "map-invert", "map-no-solution",
-        "critical-xy", "critical-dopo", "validate-quick"])
+        "critical-xy", "critical-dopo", "critical-dopo-negative-j", "validate-quick"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_command_output_contract(capsys, argv, keys, first_line, code, fmt):
     if fmt == "json":

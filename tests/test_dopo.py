@@ -135,6 +135,7 @@ def test_critical_detuning():
     assert dopo_critical_detuning(DopoParams(2.0, 0.0, 0.0)) == -4.0
     assert dopo_critical_detuning(DopoParams(0.2, 0.0, 0.0)) == pytest.approx(-0.4)
     assert dopo_critical_detuning(DopoParams(0.0, 0.0, 1.0)) == -1.0
+    assert dopo_critical_detuning(DopoParams(-2.0, 0.0, 1.0)) == -5.0
     with pytest.raises(NonphysicalDriveError):
         dopo_critical_detuning(DopoParams(2.0, 0.0, -1.0))
 

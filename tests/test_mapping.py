@@ -67,6 +67,16 @@ def test_inverse_map_zero_field():
     assert back.jy == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("d, h", [
+    (DopoParams(2.0, 0.0, 2e-9), 0.0),     # at h = 0, d2 = -4 jd^2 cannot be positive
+    (DopoParams(2.0, 2.0, 0.0), 1.0),      # jx + jy = -delta (j/2)/h < 0
+    (DopoParams(2.0, -1.0, 0.0), 1.0),     # jx + jy < 2 sqrt(jx jy)
+    (DopoParams(1e-5, 0.0, 0.0), 1.0),     # disc within 1e-9 of zero, so jx = 0
+], ids=["zero-field-drive", "negative-sum", "negative-discriminant", "zero-coupling"])
+def test_inverse_map_without_solution(d, h):
+    assert map_dopo_to_xy(d, h) is None
+
+
 def test_inverse_map_requires_positive_hopping():
     with pytest.raises(ValueError):
         map_dopo_to_xy(DopoParams(0.0, -1.0, 0.0), 1.0)
