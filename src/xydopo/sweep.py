@@ -371,9 +371,9 @@ def run_critical(params: XYParams | DopoParams) -> dict:
             m = map_xy_to_dopo(params.with_h(hc))
             row = {"h_c": hc, "delta_at_hc": m.dopo.delta, "physical": m.physical}
             if m.physical:
-                # positive h_c reaches the lowest threshold, -2j - drive;
-                # negative h_c the highest, its mirror +2j + drive
-                row["delta_c"] = dopo_threshold_detunings(m.dopo)[0 if hc > 0 else -1]
+                # a negative mapped delta = -h (jx + jy) / sqrt(jx jy) reaches the
+                # lowest threshold, -2j - drive; a positive one the highest
+                row["delta_c"] = dopo_threshold_detunings(m.dopo)[-1 if m.dopo.delta > 0 else 0]
                 row["residual"] = m.dopo.delta - row["delta_c"]
             mapped_rows.append(row)
         report["mapped"] = mapped_rows

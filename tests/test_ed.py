@@ -98,6 +98,8 @@ def test_sector_comparison_runs_on_two_sites():
 def test_sector_comparison_rejects_odd_n():
     with pytest.raises(ValueError):
         ed_vs_analytic(XYParams(1.0, 0.0, 1.0), 5)
+    with pytest.raises(ValueError):
+        ed_vs_analytic(XYParams(1.0, 0.0, 1.0), 22)  # above the Lanczos limit
 
 
 def test_sector_sums_bound_ground_energy():
@@ -149,11 +151,14 @@ def test_degenerate_ground_is_deterministic():
     assert abs(a.ground_m_z) <= 1.0
 
 
-@pytest.mark.parametrize("n, method", [(8, "dense"), (14, "lanczos")])
+@pytest.mark.parametrize("n, method", [(4, "dense"), (8, "dense"), (14, "lanczos")])
 def test_zero_hamiltonian_is_exact(n, method):
     # every state is a ground state; m_z is the average over that whole space
-    res = ed_ground_state(XYParams(0.0, 0.0, 0.0), n, method)
+    p = XYParams(0.0, 0.0, 0.0)
+    res = ed_ground_state(p, n, method)
     assert (res.ground_energy, res.ground_m_z, res.parity, res.gap) == (0.0, 0.0, EVEN, 0.0)
+    cmp = ed_vs_analytic(p, n)
+    assert (cmp.ed_energy, cmp.matched_sector) == (0.0, ANTIPERIODIC)
 
 
 def test_lanczos_matches_dense():
@@ -182,16 +187,33 @@ def test_lanczos_solves_blocks_of_up_to_128_states_dense(n):
 def test_lanczos_runs_arpack_on_larger_blocks(monkeypatch):
     import scipy.sparse.linalg
 
-    dims = []
+    calls = []
     eigsh = scipy.sparse.linalg.eigsh
 
     def spy(a, *args, **kwargs):
-        dims.append(a.shape[0])
+        calls.append((a.shape[0], kwargs["k"]))
         return eigsh(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-    ed_ground_state(XYParams(2.0, 1.0, 1.5), 9, "lanczos")
-    assert dims == [256, 256]  # both parity blocks of the 9-site ring
+    p = XYParams(2.0, 1.0, 1.5)
+    ed_ground_state(p, 9, "lanczos")
+    # both parity blocks of the 9-site ring, two levels each for the gap and m_z
+    assert calls == [(256, 2), (256, 2)]
+    calls.clear()
+    ed_vs_analytic(p, 10)
+    assert calls == [(512, 1), (512, 1)]  # the sector comparison reads one level
+
+
+@pytest.mark.parametrize("jx,jy", [(2.0, 1.0), (1.0, 1.0), (1.0, 0.0)],
+                         ids=["anisotropic", "isotropic", "ising"])
+def test_sector_comparison_agrees_with_ground_state(jx, jy):
+    hc = jx + jy
+    for n in (10, 12, 14):
+        for h in (0.0, hc / 2, hc, 1.5 * hc):
+            p = XYParams(jx, jy, h)
+            cmp, res = ed_vs_analytic(p, n), ed_ground_state(p, n, "lanczos")
+            assert abs(cmp.ed_energy - res.ground_energy) < 1e-10, (p, n)
+            assert (cmp.matched_sector == ANTIPERIODIC) == (res.parity == EVEN), (p, n)
 
 
 def test_lanczos_larger_ring_against_sector_sum():
@@ -274,6 +296,7 @@ def test_sector_merge_matches_full_space():
 def test_lanczos_is_deterministic():
     p = XYParams(1.3, 0.4, 0.9)
     assert ed_ground_state(p, 14, "lanczos") == ed_ground_state(p, 14, "lanczos")
+    assert ed_vs_analytic(p, 14) == ed_vs_analytic(p, 14)
 
 
 def test_import_loads_no_scipy():

@@ -354,6 +354,21 @@ def test_run_critical_xy():
         assert abs(row["residual"]) < 1e-9
 
 
+def test_run_critical_matches_the_threshold_on_the_mapped_side():
+    # both couplings negative: h_c > 0 maps to a positive delta, so the
+    # matching threshold is the highest one, not the lowest
+    for row in run_critical(XYParams(-1.0, -0.5, 0.0))["mapped"]:
+        assert row["physical"] and abs(row["residual"]) < 1e-12, row
+        assert math.copysign(1.0, row["delta_c"]) == math.copysign(1.0, row["delta_at_hc"])
+    # positive couplings keep their report
+    assert run_critical(XYParams(1.0, 0.5, 0.0))["mapped"] == [
+        {"h_c": -1.5, "delta_at_hc": 3.181980515339464, "physical": True,
+         "delta_c": 3.1819805153394642, "residual": -4.440892098500626e-16},
+        {"h_c": 1.5, "delta_at_hc": -3.181980515339464, "physical": True,
+         "delta_c": -3.1819805153394642, "residual": 4.440892098500626e-16},
+    ]
+
+
 def test_run_critical_dopo():
     rep = run_critical(DopoParams(2.0, 0.0, 0.0))
     assert rep["delta_c"] == -4.0
