@@ -1,17 +1,20 @@
-"""The squared band both models share, as a quadratic in c = cos k.
+"""The squared mode energy both models share, as a quadratic in c = cos k.
 
-    chain:    E_k^2 / 4 = (h + js*c)^2 + jd^2*(1 - c^2)
+    chain:    E_k^2     = (2*h + 2*js*c)^2 + 4*jd^2*(1 - c^2)
     network:  Omega_k^2 = (delta - 2*j*c)^2 - d2
 
-Both are q(c) = (u + v*c)^2 + w*(1 - c^2) - s, so the band minimum (the
-gap, the stability margin) and the kinks of sqrt(q) follow in closed form
-instead of from a k-scan.
+Both are q(c) = (u + v*c)^2 + w*(1 - c^2) - s, so the band minimum (the gap,
+the stability margin) and the kinks of sqrt(q) follow in closed form, and both
+energy densities are affine images of I = integral_0^pi sqrt(q(cos k)) dk of
+their own band: e_chain = -I/(2*pi), e_net = I/(2*pi) - delta/2.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 
 class CosBand(NamedTuple):
@@ -24,6 +27,17 @@ class CosBand(NamedTuple):
 
     def __call__(self, c: float) -> float:
         return (self.u + self.v * c) ** 2 + self.w * (1.0 - c * c) - self.s
+
+    def root(self, k):
+        """The mode energy sqrt(max(q(cos k), 0)), vectorized over k: the clip
+        absorbs rounding at a marginal gap. A w or s of exactly 0 is skipped."""
+        c = np.cos(k)
+        q = (self.u + self.v * c) ** 2
+        if self.w:
+            q = q + self.w * (1.0 - c * c)
+        if self.s:
+            q = q - self.s
+        return np.sqrt(np.maximum(q, 0.0))
 
     def argmin(self) -> float:
         """The c in [-1, 1] where q is smallest."""

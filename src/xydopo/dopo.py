@@ -115,12 +115,8 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
             f"unstable window k in [{window[0]:.6f}, {window[1]:.6f}]",
             unstable_k=window,
         )
-
-    def omega(k):
-        # clip tiny negatives from rounding at a marginal gap closing
-        return np.sqrt(np.maximum(dopo_omega_squared(p, k), 0.0))
-
-    raw = integrate(omega, 0.0, math.pi, quad, breaks=dopo_band(p).kinks())
+    band = dopo_band(p)
+    raw = integrate(band.root, 0.0, math.pi, quad, breaks=band.kinks())
     scale = 1.0 / (2.0 * math.pi)
     return Integral(raw.value * scale - 0.5 * p.delta, raw.error * scale, raw.nodes)
 

@@ -90,11 +90,17 @@ def spin_hamiltonian_dense(p: XYParams, n: int) -> np.ndarray:
 
 def _sector_levels(p: XYParams, n: int, odd: int, method: str, k: int | None = None):
     """The k lowest levels of one parity sector and each level's sum_i sz_i;
-    by default 8 on a dense block and 2 on an ARPACK one. The zero Hamiltonian
-    is answered exactly, by one level 0, without building a block: each parity
-    sector averages sum_i sz_i to 0 for n >= 2, so m_z = 0 over its levels."""
-    if p.jx == 0.0 and p.jy == 0.0 and p.h == 0.0:
-        return np.zeros(1), np.zeros(1)
+    by default 8 on a dense block and 2 on an ARPACK one. A field-only chain
+    (jx = jy = 0) is answered exactly, without building a block, by its
+    distinct levels -h*(n - 2m), where the m flipped spins have the sector's
+    parity (C(n, m) states each). The zero Hamiltonian keeps one level 0: each
+    parity sector averages sum_i sz_i to 0 for n >= 2, so m_z = 0 over it."""
+    if p.jx == 0.0 and p.jy == 0.0:
+        if p.h == 0.0:
+            return np.zeros(1), np.zeros(1)
+        sz = n - 2.0 * np.arange(odd, n + 1, 2)  # as _hamiltonian_rows' diagonal
+        sz = sz[np.argsort(-p.h * sz)]
+        return -p.h * sz, sz
     # the upper n-1 bits index the state; the lowest bit fixes its parity
     upper = np.arange(1 << (n - 1), dtype=np.int64)
     states = (upper << 1) | ((np.bitwise_count(upper) & 1) ^ odd)
@@ -131,7 +137,7 @@ def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
     method covers n <= 20, dense on blocks of at most 128 states and ARPACK
     above. m_z is averaged over the degenerate ground group among the levels
     each block's solver keeps (8 per block dense, 2 ARPACK).
-    The zero Hamiltonian is answered exactly, without building a block.
+    A field-only chain (jx = jy = 0) is answered exactly, without building a block.
     """
     if not 2 <= n <= _LANCZOS_MAX:
         raise ValueError(f"n must be in 2..{_LANCZOS_MAX}, got {n}")

@@ -120,11 +120,11 @@ class MapEnergyReport(NamedTuple):
 def map_energy_density(p: XYParams) -> MapEnergyReport:
     """Evaluate both sides of the energy-density shift identity independently.
 
-    The chain side uses the XY quadrature, the network side the oscillator
-    quadrature of the mapped parameters, both at the default QuadratureSpec;
-    the report carries their difference against the shift
-    h*(jx+jy)/(2*sqrt(jx*jy)). If the mapped network has an unstable window
-    the network side is reported as such and the residual is omitted.
+    Each side integrates the root of its own band, the chain's E_k^2 from
+    (jx, jy, h) and the network's Omega_k^2 from the mapped (j, delta, d2), at
+    the default QuadratureSpec; the report carries their difference against
+    the shift h*(jx+jy)/(2*sqrt(jx*jy)), or marks the network side unstable
+    and omits the residual when the mapped network has an unstable window.
     """
     mapped = map_xy_to_dopo(p)
     e_xy = xy.xy_energy_density(p).value

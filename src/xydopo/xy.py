@@ -49,8 +49,8 @@ def xy_dispersion(p: XYParams, k):
 
 
 def xy_band(p: XYParams) -> CosBand:
-    """E_k^2/4 = (h + js*cos k)^2 + jd^2*sin^2 k as a quadratic in cos k."""
-    return CosBand(p.h, p.js, p.jd ** 2)
+    """E_k^2 = (2*h + 2*js*cos k)^2 + 4*jd^2*sin^2 k as a quadratic in cos k."""
+    return CosBand(2.0 * p.h, 2.0 * p.js, 4.0 * p.jd ** 2)
 
 
 def xy_spectrum(p: XYParams, grid: MomentumGrid) -> Spectrum:
@@ -83,8 +83,8 @@ def xy_energy_density(p: XYParams, quad: QuadratureSpec = QuadratureSpec()) -> I
     scaled like the result. An isotropic chain in its gapless window has a
     kink at k* = arccos(-h/(2*j)), where the integral is split.
     """
-    raw = integrate(lambda k: xy_dispersion(p, k), 0.0, math.pi, quad,
-                    breaks=xy_band(p).kinks())
+    band = xy_band(p)
+    raw = integrate(band.root, 0.0, math.pi, quad, breaks=band.kinks())
     scale = 1.0 / (2.0 * math.pi)
     return Integral(0.0 - raw.value * scale, raw.error * scale, raw.nodes)  # no -0
 
@@ -185,4 +185,4 @@ def xy_phase(p: XYParams) -> str:
 
 def xy_gap(p: XYParams) -> float:
     """min_k E_k, from the closed-form minimum of the band over cos k."""
-    return 2.0 * math.sqrt(xy_band(p).minimum())
+    return math.sqrt(xy_band(p).minimum())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xydopo.dopo import dopo_critical_detuning
+from xydopo.dopo import dopo_band, dopo_critical_detuning, dopo_gap
 from xydopo.mapping import (
     map_dopo_to_xy,
     map_energy_density,
@@ -11,7 +11,7 @@ from xydopo.mapping import (
     verify_spectral_match,
 )
 from xydopo.types import DopoParams, SingularMapError, XYParams, build_grid
-from xydopo.xy import xy_critical_fields
+from xydopo.xy import xy_band, xy_critical_fields, xy_gap
 
 
 def test_forward_map_anisotropic():
@@ -86,6 +86,31 @@ def test_inverse_map_requires_positive_hopping():
 def test_spectral_match_examples(jx, jy, h):
     residual = verify_spectral_match(XYParams(jx, jy, h), build_grid(128))
     assert residual < 1e-10
+
+
+def _mapped_chains():
+    rng = np.random.default_rng(16)
+    for _ in range(500):
+        jx, jy = rng.uniform(0.05, 3.0, size=2) * rng.choice([-1.0, 1.0])
+        yield XYParams(jx, jy, rng.uniform(-6.0, 6.0))
+    for j in (0.5, 1.0, 1.7, -1.0):   # isotropic, across the gapless window |h| < 2|j|
+        for h in np.linspace(-2.0 * j, 2.0 * j, 21)[1:-1]:
+            yield XYParams(j, j, float(h))
+
+
+def test_mapped_bands_are_the_same_quadratic():
+    # the map equates the coefficients of E_k^2 and Omega_k^2, so the two
+    # bands agree as quadratics in cos k: values, minimum, gap and kinks
+    c = np.linspace(-1.0, 1.0, 101)
+    for p in _mapped_chains():
+        mapped = map_xy_to_dopo(p).dopo
+        chain, network = xy_band(p), dopo_band(mapped)
+        size = np.max(np.abs(chain(c)))
+        assert np.max(np.abs(chain(c) - network(c))) <= 1e-13 * size, p
+        assert abs(chain.minimum() - network.minimum()) <= 1e-13 * size, p
+        assert abs(xy_gap(p) - dopo_gap(mapped)) <= 1e-9, p
+        assert len(chain.kinks()) == len(network.kinks()) == (p.jx == p.jy), p
+        assert np.allclose(chain.kinks(), network.kinks(), rtol=0.0, atol=1e-12), p
 
 
 def test_round_trip_fuzz():

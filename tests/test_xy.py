@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from xydopo.dopo import dopo_band, dopo_energy_density
 from xydopo.quadrature import Integral, QuadratureSpec, integrate
 from xydopo.types import (
     CRITICAL,
     ORDERED,
     PARAMAGNETIC,
     DegenerateModelError,
+    DopoParams,
     NumericalError,
     UnsupportedParameterError,
     XYParams,
@@ -19,6 +21,7 @@ from xydopo.xy import (
     ANISOTROPIC,
     ISOTROPIC,
     TFI,
+    xy_band,
     xy_critical_fields,
     xy_dispersion,
     xy_energy_density,
@@ -240,11 +243,18 @@ def test_energy_density_near_a_kink_matches_the_reference(h):
     assert abs(e.value - _NEAR_KINK_REFERENCES[h]) <= 1e-12
 
 
-@pytest.mark.parametrize("jx,jy,h", [(2.0, 1.0, 1.5), (1.0, 0.0, 0.7), (1.0, 1.0, 2.5)])
-def test_unkinked_chain_takes_the_unsplit_path(jx, jy, h):
-    p = XYParams(jx, jy, h)
+@pytest.mark.parametrize("params", [XYParams(2.0, 1.0, 1.5), XYParams(1.0, 0.0, 0.7),
+                                    XYParams(1.0, 1.0, 2.5), DopoParams(2.0, 6.0, 1.0)],
+                         ids=["2.0-1.0-1.5", "1.0-0.0-0.7", "1.0-1.0-2.5", "network"])
+def test_unkinked_chain_takes_the_unsplit_path(params):
+    # an energy density without a kink is one unsplit integral of its own
+    # band's root over [0, pi], scaled, bit for bit
+    chain = isinstance(params, XYParams)
+    band = xy_band(params) if chain else dopo_band(params)
+    assert band.kinks() == ()
     quad = QuadratureSpec()
-    raw = integrate(lambda k: xy_dispersion(p, k), 0.0, math.pi, quad)
+    raw = integrate(band.root, 0.0, math.pi, quad)
     scale = 1.0 / (2.0 * math.pi)
-    assert xy_energy_density(p, quad) == Integral(-raw.value * scale, raw.error * scale,
-                                                   raw.nodes)
+    value = -raw.value * scale if chain else raw.value * scale - 0.5 * params.delta
+    density = xy_energy_density if chain else dopo_energy_density
+    assert density(params, quad) == Integral(value, raw.error * scale, raw.nodes)
