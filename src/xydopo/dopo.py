@@ -66,18 +66,18 @@ def dopo_spectrum(p: DopoParams, grid: MomentumGrid) -> Spectrum:
 def dopo_zero_point_energy(p: DopoParams, grid: MomentumGrid) -> float:
     """Zero-point energy (1/2) sum_k (Omega_k - eps_k) on a discrete grid.
 
-    Every grid mode must be stable (Omega_k^2 >= 0); otherwise an
-    UnstablePhaseError carrying the offending k values is raised.
+    A mode with Omega_k^2 < -STABILITY_TOL is unstable and raises an UnstablePhaseError
+    carrying the offending k values; a smaller negative Omega_k^2 is rounding, read as 0.
     """
     omsq = dopo_omega_squared(p, grid.points)
-    bad = omsq < 0.0
+    bad = omsq < -STABILITY_TOL
     if np.any(bad):
         raise UnstablePhaseError(
             f"{int(bad.sum())} grid mode(s) have Omega^2 < 0",
             unstable_k=grid.points[bad],
         )
     eps = dopo_epsilon(p, grid.points)
-    return 0.5 * float(np.sum(np.sqrt(omsq) - eps))
+    return 0.5 * float(np.sum(np.sqrt(np.maximum(omsq, 0.0)) - eps))
 
 
 def dopo_gap(p: DopoParams) -> float | None:

@@ -58,7 +58,7 @@ def map_xy_to_dopo(p: XYParams) -> MappingResult:
         delta=0.0 - p.h * p.js / root,  # 0.0 - x and x + 0.0: an unsigned zero
         d2=p.jd ** 2 * (p.h ** 2 / prod - 4.0) + 0.0,
     )
-    return MappingResult(d, d.d2 >= 0.0, p)
+    return MappingResult(d, d.is_physical, p)
 
 
 def map_dopo_to_xy(d: DopoParams, h: float) -> XYParams | None:

@@ -41,8 +41,8 @@ class QuadratureSpec:
     max_nodes: int = 1 << 20
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_nodes < _ORDER:
             raise ValueError(f"max_nodes must be at least {_ORDER}, got {self.max_nodes}")
 

@@ -53,7 +53,6 @@ from .types import (
     SUPERRADIANT,
     DegenerateModelError,
     DopoParams,
-    NonphysicalDriveError,
     SweepRecord,
     UnstablePhaseError,
     XYParams,
@@ -96,6 +95,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep's settings, valid from construction; `replace` re-checks."""
+
     model: str
     params: XYParams | DopoParams
     start: float
@@ -107,7 +108,7 @@ class SweepConfig:
     format: str = "csv"
     note: str = ""
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for key, kind in (("start", Real), ("stop", Real), ("steps", Integral), ("dh", Real)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, kind):  # a bool is an Integral
@@ -119,7 +120,7 @@ class SweepConfig:
             problems.append(f"params: {_MODEL_TABLE[self.model][1]} required for {self.model!r}")
         if isinstance(self.params, XYParams) and (self.params.jx < 0 or self.params.jy < 0):
             problems.append("params: couplings must be non-negative for sweeps")
-        if isinstance(self.params, DopoParams) and self.params.d2 < 0:
+        if isinstance(self.params, DopoParams) and not self.params.is_physical:
             problems.append(f"d2: must be >= 0 (a real drive amplitude), got {self.params.d2}")
         if self.model == "mapped" and isinstance(self.params, XYParams) \
                 and self.params.jx * self.params.jy == 0.0:
@@ -137,6 +138,8 @@ class SweepConfig:
             problems.append(f"format: must be csv or json, got {self.format!r}")
         if problems:
             raise ConfigError("; ".join(problems))
+        if "chi" in self.outputs:
+            require_chi_tolerance(self.quad, self.dh)
 
     def controls(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
@@ -192,7 +195,7 @@ def _convert(kind, value):
 
 
 def config_from_dict(raw: dict) -> SweepConfig:
-    """A validated SweepConfig from a flat dict over SWEEP_KEYS (a config file,
+    """A SweepConfig from a flat dict over SWEEP_KEYS (a config file,
     flags, a preset); a key left out takes its field's default. ConfigError
     names each key that is foreign, missing though required, or mistyped."""
     model = raw.get("model")
@@ -218,9 +221,7 @@ def config_from_dict(raw: dict) -> SweepConfig:
         quad = QuadratureSpec(**nested["quad"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = SweepConfig(params=params, quad=quad, **values)
-    cfg.validate()
-    return cfg
+    return SweepConfig(params=params, quad=quad, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +288,17 @@ def _critical_controls(cfg: SweepConfig) -> list[float]:
         # the inner thresholds -+(2|j| - sqrt(d2)) lie inside the unstable window
         lowest, *_, highest = dopo_threshold_detunings(cfg.params)
         return [lowest, highest]
-    except (DegenerateModelError, NonphysicalDriveError):
+    except DegenerateModelError:
         return []
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
     """Stream one record per control point, in control order.
 
-    The configuration and the chi tolerance are checked before this returns,
-    so a sweep that cannot run fails before any output. Points are evaluated
-    one after another in this process; workers is accepted and ignored.
+    cfg was checked when it was built, the chi tolerance included, so a sweep
+    that cannot run failed before any output. Points are evaluated one after
+    another in this process; workers is accepted and ignored.
     """
-    cfg.validate()
-    if "chi" in cfg.outputs:
-        require_chi_tolerance(cfg.quad, cfg.dh)
     controls = cfg.controls()
     critical = _critical_controls(cfg)
     flagged = {int(np.argmin(np.abs(controls - crit)))

@@ -115,7 +115,7 @@ class DopoParams:
 
     def drive(self) -> float:
         """Drive magnitude sqrt(d2); raises when d2 < 0."""
-        if self.d2 < 0.0:
+        if not self.is_physical:
             raise NonphysicalDriveError(
                 f"d2 = {self.d2} < 0 has no real drive amplitude"
             )

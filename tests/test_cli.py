@@ -180,13 +180,14 @@ _XY = {"model": "xy", "jx": 1.0, "jy": 0.0, "start": 0.0, "stop": 1.0, "steps": 
     ({**_XY, "jx": "one"}, [], "jx: could not convert"),
     ({**_XY, "dh": True}, [], "dh: must not be a boolean"),
     (_XY, ["--tol", "0"], "tol must be positive"),
+    (_XY, ["--tol", "inf"], "tol must be positive"),
     (_XY, ["--max-nodes", "8"], "max_nodes must be at least"),
     ([_XY], [], "not a JSON object"),
     (None, ["--model", "dopo", "--j", "2", "--d2", "-1", "--start", "-3", "--stop", "3",
             "--steps", "3", "--outputs", "e_g,phase,gap"], "d2: must be >= 0"),
 ], ids=["foreign-preset", "foreign-key", "unknown-key", "no-start", "no-stop", "no-steps",
         "no-jy", "no-j", "steps-3.9", "max-nodes-fraction", "jx-string", "dh-boolean", "tol-zero",
-        "max-nodes-small", "config-array", "dopo-negative-d2"])
+        "tol-inf", "max-nodes-small", "config-array", "dopo-negative-d2"])
 def test_sweep_schema_rejects_before_output(tmp_path, capsys, config, argv, named):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

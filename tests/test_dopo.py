@@ -16,7 +16,7 @@ from xydopo.dopo import (
 )
 from xydopo.mapping import map_xy_to_dopo
 from xydopo.quadrature import QuadratureSpec
-from xydopo.xy import xy_energy_density
+from xydopo.xy import xy_energy_density, xy_ground_energy_finite
 from xydopo.types import (
     CRITICAL,
     NORMAL,
@@ -63,6 +63,15 @@ def test_zero_point_energy_matches_density_shift_at_finite_n():
     mapped = map_xy_to_dopo(XYParams(1.0, 1.0, 3.0))
     zp = dopo_zero_point_energy(mapped.dopo, build_grid(64))
     assert zp == pytest.approx(64 * (3.0 + 3.0), abs=1e-9)
+    # at a critical field min Omega^2 is rounding at k = pi, not an unstable mode:
+    # the network's sum is the chain's -E on the same grid plus n times the shift
+    for jx, jy, h in ((2.0, 1.0, 3.0), (2.0, 1.0, -3.0), (1.0, 0.01, 1.01), (1.0, 0.01, -1.01)):
+        src = XYParams(jx, jy, h)
+        shift = h * (jx + jy) / (2.0 * math.sqrt(jx * jy))
+        for n in (2, 4, 8, 16, 32, 64):
+            grid = build_grid(n)
+            zp = dopo_zero_point_energy(map_xy_to_dopo(src).dopo, grid)
+            assert zp == pytest.approx(n * shift - xy_ground_energy_finite(src, grid), abs=1e-9)
 
 
 def test_zero_point_energy_unstable_modes_reported():

@@ -49,8 +49,9 @@ def test_result_structure():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(tol=0.0)
+    for tol in (0.0, math.inf):  # an infinite tol would accept the first two estimates
+        with pytest.raises(ValueError, match="tol must be positive"):
+            QuadratureSpec(tol=tol)
     with pytest.raises(ValueError):
         QuadratureSpec(max_nodes=8)
     with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from xydopo.types import (
     PARAMAGNETIC,
     SUPERRADIANT,
     DopoParams,
+    NumericalError,
     XYParams,
 )
 from xydopo.xy import xy_energy_density, xy_magnetization, xy_susceptibility
@@ -75,6 +76,20 @@ def test_config_validation_messages():
             config_from_dict(raw)
 
 
+def test_replace_rechecks_the_config():
+    # a config is checked when it is built, a replace copy included
+    with pytest.raises(ConfigError, match="steps: must be >= 2"):
+        replace(preset_config("fig2-tfi"), steps=1)
+    assert not hasattr(SweepConfig, "validate")
+
+
+def test_chi_tolerance_is_checked_on_construction():
+    # a rule on the config's own fields: it fails when the config is built, not in run_sweep
+    with pytest.raises(NumericalError, match="too loose for dh"):
+        SweepConfig("xy", XYParams(1, 0, 0), 0.0, 1.0, 3, outputs=("chi",),
+                     quad=QuadratureSpec(tol=1e-3))
+
+
 def test_outputs_string_parsing():
     cfg = small_xy_config(outputs="e_g, phase")
     assert cfg.outputs == ("e_g", "phase")
@@ -86,7 +101,6 @@ def test_presets_build():
     }
     for name in PRESETS:
         cfg = preset_config(name)
-        cfg.validate()
     tfi = preset_config("fig2-tfi")
     assert (tfi.params.jx, tfi.params.jy) == (1.0, 0.0)
     assert (tfi.start, tfi.stop, tfi.steps) == (0.0, 2.0, 401)
