@@ -8,9 +8,15 @@ import pytest
 import xydopo
 
 from xydopo.ed import (
+    DENSE,
     EVEN,
     ODD,
+    _block,
     _hamiltonian_rows,
+    _lowest,
+    _perron_level,
+    _sector_levels,
+    _sector_states,
     ed_ground_state,
     ed_vs_analytic,
     spin_hamiltonian_dense,
@@ -214,8 +220,12 @@ def test_lanczos_runs_arpack_on_larger_blocks(monkeypatch):
     # both parity blocks of the 9-site ring, two levels each for the gap and m_z
     assert calls == [(256, 2), (256, 2)]
     calls.clear()
+    # the sector comparison reads one level of each sector's dihedral-symmetric
+    # block: 44 and 34 states at n = 10, solved dense, 1162 and 1088 at n = 16
     ed_vs_analytic(p, 10)
-    assert calls == [(512, 1), (512, 1)]  # the sector comparison reads one level
+    assert calls == []
+    ed_vs_analytic(p, 16)
+    assert calls == [(1162, 1), (1088, 1)]
 
 
 @pytest.mark.parametrize("jx,jy", [(2.0, 1.0), (1.0, 1.0), (1.0, 0.0)],
@@ -228,6 +238,47 @@ def test_sector_comparison_agrees_with_ground_state(jx, jy):
             cmp, res = ed_vs_analytic(p, n), ed_ground_state(p, n, "lanczos")
             assert abs(cmp.ed_energy - res.ground_energy) < 1e-10, (p, n)
             assert (cmp.matched_sector == ANTIPERIODIC) == (res.parity == EVEN), (p, n)
+
+
+def test_perron_block_holds_each_sector_ground_level(monkeypatch):
+    # ed_vs_analytic solves each parity sector on its block of dihedral-symmetric
+    # states, in a sign frame where every pair-flip amplitude is <= 0, so that
+    # the sector's lowest level has a nonnegative eigenvector (Perron-Frobenius).
+    # Without the frame the odd sector misses by 4.49 at (-1, -0.5, 0.3), n = 8.
+    blocks = []
+
+    def spy(ham, *args):
+        blocks.append(ham.toarray())
+        return _lowest(ham, *args)
+
+    monkeypatch.setattr(xydopo.ed, "_lowest", spy)
+    rng = np.random.default_rng(79)
+    points = [(-1.0, -0.5, 0.3), (1.0, -2.0, 0.4), (0.5, 1.5, -0.7), (-2.0, 0.3, 1.1),
+              (1.0, 1.0, 0.6), (1.0, -1.0, 0.6), (0.0, 1.0, 0.8)]  # the last three reducible
+    points += [tuple(rng.uniform(-2.5, 2.5, size=3)) for _ in range(6)]
+    for n in range(2, 13, 2):
+        for point in points if n < 12 else points[1:2]:  # a dense n = 12 sector takes 0.8 s
+            p = XYParams(*point)
+            for odd in (0, 1):
+                blocks.clear()
+                level = _perron_level(p, n, odd)
+                want = _sector_levels(p, n, odd, DENSE)[0][0]
+                assert abs(level - want) <= 1e-12 * max(1.0, abs(want)), (point, n, odd)
+                if n <= 10:  # every level of the symmetric block is a level of the sector
+                    parity = np.linalg.eigvalsh(
+                        _block(*_hamiltonian_rows(p, n, _sector_states(n, odd), 1)).toarray())
+                    perron = np.linalg.eigvalsh(blocks[0])
+                    miss = np.abs(perron[:, None] - parity[None, :]).min(axis=1)
+                    assert miss.max() <= 1e-12 * max(1.0, np.abs(parity).max()), (point, n, odd)
+
+
+@pytest.mark.parametrize("jx,jy", [(2.0, 1.0), (1.0, 1.0), (1.0, 0.0)],
+                         ids=["anisotropic", "isotropic", "ising"])
+def test_sector_comparison_on_larger_rings(jx, jy):
+    p = XYParams(jx, jy, 0.7 * (jx + jy))
+    for n in (18, 20):
+        assert abs(ed_vs_analytic(p, n).ed_energy - xy_ground_energy_ring(p, n)) < 1e-9, n
+    assert ed_vs_analytic(p, 16) == ed_vs_analytic(p, 16)
 
 
 def test_lanczos_larger_ring_against_sector_sum():
@@ -333,3 +384,5 @@ def test_lanczos_failure_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(NumericalError, match="n=14"):
         ed_ground_state(XYParams(1.0, 0.0, 0.5), 14, "lanczos")
+    with pytest.raises(NumericalError, match="n=16"):
+        ed_vs_analytic(XYParams(1.0, 0.0, 0.5), 16)
