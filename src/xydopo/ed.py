@@ -20,15 +20,18 @@ ARPACK's implicitly restarted Lanczos (scipy's eigsh) on the sparse block above
 that, to n = 20: at n = 12, about 0.015 s against 1.6 s dense on one BLAS
 thread of a 2-vCPU x86 host, with energies equal to about 1e-13.
 ed_ground_state is dense unless asked otherwise and keeps eight levels per
-dense block, two per ARPACK block, for its gap and m_z; validate calls it with
-Lanczos. ed_vs_analytic finds one level per sector on a block about 2n times
-smaller (see its docstring): 1,162 and 1,088 states against 32,768 at n = 16,
-0.015 s against 0.24 s. scipy is imported only when a block is built.
+dense block, two per ARPACK block, for its gap and m_z. ed_vs_analytic, and
+through it validate's ED table, finds one level per sector on a block about 2n
+times smaller (see its docstring): 1,162 and 1,088 states against 32,768 at
+n = 16, 0.015 s against 0.24 s. That block's couplings-free structure is built
+once per (n, parity) and cached, 13.0 MB for every even n to 20 and 0.9 MB
+to n = 16. scipy is imported only when a block is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,14 +139,11 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
     return levels, (vecs * vecs).T @ (n - 2.0 * np.bitwise_count(states))
 
 
-def _perron_level(p: XYParams, n: int, odd: int) -> float:
-    """The lowest level of sector odd of an even ring, from its dihedral-symmetric
-    block (see ed_vs_analytic); a field-only chain's is _sector_levels' exact one."""
-    if p.jx == 0.0 and p.jy == 0.0:
-        return float(_sector_levels(p, n, odd, LANCZOS)[0][0])
-    a, b = (p.jx, p.jy) if abs(p.jx) >= abs(p.jy) else (p.jy, p.jx)
-    if a < 0.0:
-        a, b = -a, -b
+@lru_cache(maxsize=20)  # even n in 2..20, both parities: 13.0 MB in all, 0.9 MB for n <= 16
+def _dihedral_block(n: int, odd: int):
+    """The couplings-free part of sector odd's dihedral-symmetric block of an even
+    ring, read-only: orbit-mapped columns (the diagonal first), the aligned-pair
+    mask and weights sqrt(|O_row|/|O_col|) of each bond, and sum_i sz_i."""
     states = _sector_states(n, odd)
     # orbit representative: the least of the n rotations of s and of its reversal
     rep = states
@@ -152,10 +152,28 @@ def _perron_level(p: XYParams, n: int, odd: int) -> float:
             t = ((t << 1) | (t >> (n - 1))) & ((1 << n) - 1)
             rep = np.minimum(rep, t)
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-    cols, amps = _hamiltonian_rows(XYParams(a, b, p.h), n, reps, 0)
+    # the chain (0, 1, h=-1) has sum_i sz_i on its diagonal and pair-flip
+    # amplitudes +1 on aligned pairs, -1 on anti-aligned ones
+    cols, amps = _hamiltonian_rows(XYParams(0.0, 1.0, -1.0), n, reps, 0)
     cols = orbit[cols >> 1]
-    ham = _block(cols, amps * np.sqrt(size[:, None] / size[cols]))
-    return float(_lowest(ham, False, 1, p, n, odd)[0][0])
+    aligned, sz = amps[:, 1:] > 0.0, amps[:, 0].copy()
+    weight = np.sqrt(size[:, None] / size[cols[:, 1:]])
+    cols.flags.writeable = aligned.flags.writeable = weight.flags.writeable = sz.flags.writeable = False
+    return cols, aligned, weight, sz
+
+
+def _perron_level(p: XYParams, n: int, odd: int) -> float:
+    """The lowest level of sector odd of an even ring, from its dihedral-symmetric
+    block (see ed_vs_analytic) with the couplings in the sign frame (a, b); a
+    field-only chain's is _sector_levels' exact one."""
+    if p.jx == 0.0 and p.jy == 0.0:
+        return float(_sector_levels(p, n, odd, LANCZOS)[0][0])
+    a, b = (p.jx, p.jy) if abs(p.jx) >= abs(p.jy) else (p.jy, p.jx)
+    if a < 0.0:
+        a, b = -a, -b
+    cols, aligned, weight, sz = _dihedral_block(n, odd)
+    amps = np.column_stack([-p.h * sz, np.where(aligned, b - a, -(a + b)) * weight])
+    return float(_lowest(_block(cols, amps), False, 1, p, n, odd)[0][0])
 
 
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:

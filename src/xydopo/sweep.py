@@ -40,7 +40,7 @@ from .dopo import (
     dopo_gap,
     dopo_threshold_detunings,
 )
-from .ed import LANCZOS, ed_ground_state, ed_vs_analytic
+from .ed import ed_vs_analytic
 from .mapping import map_dopo_to_xy, map_energy_density, map_xy_to_dopo, verify_spectral_match
 from .quadrature import QuadratureSpec
 from .types import (
@@ -68,6 +68,7 @@ from .xy import (
 )
 # unused here, but bench/tracing.py wraps these names on this module by getattr
 from .dopo import dopo_omega_squared  # noqa: F401
+from .ed import ed_ground_state  # noqa: F401
 from .xy import xy_magnetization, xy_susceptibility  # noqa: F401
 
 _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
@@ -502,7 +503,7 @@ def _ed_rows():
     for jx, jy, hc in ((2.0, 1.0, 3.0), (1.0, 1.0, 2.0), (1.0, 0.0, 1.0)):
         p = XYParams(jx, jy, 1.5 * hc)
         for n in (6, 8, 10, 12):
-            e0 = ed_ground_state(p, n, LANCZOS).ground_energy
+            e0 = ed_vs_analytic(p, n).ed_energy
             yield f"|E_ED - E_ring| at {p}, n={n}", abs(e0 - xy_ground_energy_ring(p, n)), 1e-10
         yield f"|E_ED/n - e| at {p}, n={n}", abs(e0 / n - xy_energy_density(p).value), 0.02
 
@@ -516,8 +517,8 @@ def _sector_rows():
 def run_validate(level: str = "quick") -> ValidationReport:
     """The fixed example checks (quick), then the randomized and ED checks
     (full), in the order listed below. The ED table solves rings of 6 to 12
-    sites by the Lanczos method and holds every ground energy to the exact
-    ring energy within 1e-10."""
+    sites on their dihedral-symmetric blocks (ed_vs_analytic) and holds every
+    ground energy to the exact ring energy within 1e-10."""
     if level not in ("quick", "full"):
         raise ConfigError(f"level must be quick or full, got {level!r}")
     anchors = ((XYParams(1, 0, 0), -1.0, 1e-10), (XYParams(1, 0, 1), -4.0 / math.pi, 1e-8),

@@ -12,6 +12,7 @@ from xydopo.ed import (
     EVEN,
     ODD,
     _block,
+    _dihedral_block,
     _hamiltonian_rows,
     _lowest,
     _perron_level,
@@ -270,6 +271,28 @@ def test_perron_block_holds_each_sector_ground_level(monkeypatch):
                     perron = np.linalg.eigvalsh(blocks[0])
                     miss = np.abs(perron[:, None] - parity[None, :]).min(axis=1)
                     assert miss.max() <= 1e-12 * max(1.0, np.abs(parity).max()), (point, n, odd)
+
+
+def test_dihedral_block_cache_is_couplings_free_and_read_only():
+    # the cached block structure depends on (n, parity) only: a level solved on
+    # an entry that another chain built equals, bit for bit, one solved cold
+    warm_up = XYParams(1.0, 0.3, 0.5)
+    chains = [XYParams(0.5, 1.2, 0.3), XYParams(-1.3, 0.6, -0.4), XYParams(0.4, -1.7, 0.9)]
+    for n in range(2, 15, 2):  # to n = 14, where ARPACK solves the blocks
+        for odd in (0, 1):
+            for p in chains:  # the sign frame swaps, negates, or does both
+                _dihedral_block.cache_clear()
+                cold = _perron_level(p, n, odd)
+                _dihedral_block.cache_clear()
+                _perron_level(warm_up, n, odd)
+                assert _perron_level(p, n, odd) == cold, (p, n, odd)
+                assert _dihedral_block.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for array in _dihedral_block(8, 1):
+        with pytest.raises(ValueError):
+            array[0] = array[1]
+    _dihedral_block.cache_clear()
+    p = XYParams(2.0, 1.0, 1.4)
+    assert ed_vs_analytic(p, 16) == ed_vs_analytic(p, 16)
 
 
 @pytest.mark.parametrize("jx,jy", [(2.0, 1.0), (1.0, 1.0), (1.0, 0.0)],

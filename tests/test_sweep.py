@@ -473,18 +473,26 @@ def test_validate_full_passes_in_documented_order():
 
 def test_validate_full_builds_no_large_dense_block(monkeypatch):
     import scipy.linalg
+    import scipy.sparse.linalg
 
-    sizes = []
-    eigh = scipy.linalg.eigh
+    sizes, arpack = [], []
+    eigh, eigsh = scipy.linalg.eigh, scipy.sparse.linalg.eigsh
 
     def spy(a, *args, **kwargs):
         sizes.append(len(a))
         return eigh(a, *args, **kwargs)
 
+    def arpack_spy(a, *args, **kwargs):
+        arpack.append(a.shape[0])
+        return eigsh(a, *args, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", arpack_spy)
     assert run_validate("full").passed
-    # rings of up to 8 sites go dense (parity blocks of 128 states), larger ones to ARPACK
-    assert max(sizes) == 128
+    # every ring goes dense on its dihedral-symmetric blocks, the largest the
+    # even sector of 12 sites (122 states); none is large enough for ARPACK
+    assert max(sizes) == 122
+    assert arpack == []
 
 
 def test_validate_full_holds_ed_to_exact_ring_energy(monkeypatch):
