@@ -6,7 +6,9 @@
 Both are q(c) = (u + v*c)^2 + w*(1 - c^2) - s, so the band minimum (the gap,
 the stability margin) and the kinks of sqrt(q) follow in closed form, and both
 energy densities are affine images of I = integral_0^pi sqrt(q(cos k)) dk of
-their own band: e_chain = -I/(2*pi), e_net = I/(2*pi) - delta/2.
+their own band: e_chain = -I/(2*pi), e_net = I/(2*pi) - delta/2. I is split at
+the minimum's momentum arccos(argmin) when it is interior: at a kink that is
+the kink, and near one the point where sqrt(q) bends sharpest.
 """
 
 from __future__ import annotations

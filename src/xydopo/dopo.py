@@ -105,9 +105,10 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
 
     Computed as (1/(2*pi)) * integral_0^pi Omega_k dk - delta/2, using that
     cos k integrates to zero over the band. Raises UnstablePhaseError (with
-    the window endpoints) if any part of [0, pi] is unstable. With no drive
-    and |delta| < 2|j|, Omega_k = |eps_k| has a kink at k* = arccos(delta/(2j)),
-    where the integral is split.
+    the window endpoints) if any part of [0, pi] is unstable. The integral is
+    split at the band minimum when it lies inside (0, pi): with no drive and
+    |delta| < 2|j| that is the kink of Omega_k = |eps_k| at
+    k* = arccos(delta/(2j)), and near it the rounded kink.
     """
     window = _instability_window(p)
     if window is not None:
@@ -116,7 +117,7 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
             unstable_k=window,
         )
     band = dopo_band(p)
-    raw = integrate(band.root, 0.0, math.pi, quad, breaks=band.kinks())
+    raw = integrate(band.root, 0.0, math.pi, quad, breaks=(math.acos(band.argmin()),))
     scale = 1.0 / (2.0 * math.pi)
     return Integral(raw.value * scale - 0.5 * p.delta, raw.error * scale, raw.nodes)
 

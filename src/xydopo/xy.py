@@ -80,11 +80,12 @@ def xy_energy_density(p: XYParams, quad: QuadratureSpec = QuadratureSpec()) -> I
     """Ground-state energy per site, -(1/(2*pi)) * integral_0^pi E_k dk.
 
     Returns an Integral whose error field is the quadrature refinement change
-    scaled like the result. An isotropic chain in its gapless window has a
-    kink at k* = arccos(-h/(2*j)), where the integral is split.
+    scaled like the result. The integral is split at the band minimum when it
+    lies inside (0, pi): for an isotropic chain in its gapless window that is
+    the kink at k* = arccos(-h/(2*j)), and near it the rounded kink.
     """
     band = xy_band(p)
-    raw = integrate(band.root, 0.0, math.pi, quad, breaks=band.kinks())
+    raw = integrate(band.root, 0.0, math.pi, quad, breaks=(math.acos(band.argmin()),))
     scale = 1.0 / (2.0 * math.pi)
     return Integral(0.0 - raw.value * scale, raw.error * scale, raw.nodes)  # no -0
 

@@ -122,11 +122,11 @@ def test_sweep_bad_config_exit_code(capsys):
 
 
 def test_sweep_numerical_error_exit_code(capsys):
-    # jy = 0.999 is a near-kink: the band has no zero to split at, and
-    # 1e-12 is unreachable within 4096 nodes
+    # jy = 0.999 is a near-kink: the band is split at its interior minimum,
+    # and the first level of both pieces, 226 nodes, does not fit in 113
     code, _, err = run_cli(capsys, "sweep", "--model", "xy", "--jx", "1", "--jy", "0.999",
                            "--start", "1.0", "--stop", "1.5", "--steps", "2",
-                           "--outputs", "e_g", "--tol", "1e-12", "--max-nodes", "4096")
+                           "--outputs", "e_g", "--tol", "1e-12", "--max-nodes", "113")
     assert code == 3
     assert "numerical" in err
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xydopo import quadrature
-from xydopo.quadrature import _NODES, _WEIGHTS, Integral, QuadratureSpec, integrate
+from xydopo.quadrature import Integral, QuadratureSpec, integrate
 from xydopo.sweep import preset_config, run_sweep, write_csv
 from xydopo.types import NumericalError
 
@@ -23,17 +23,18 @@ def test_smooth_trig():
 
 
 def test_kinked_integrand():
-    # |cos k| has an interior kink at pi/2; with no break given, panel
-    # doubling still converges, just algebraically
+    # |cos k| has an interior kink at pi/2, passed as a break: each piece is
+    # analytic, and the first level of both converges
     spec = QuadratureSpec(tol=1e-10)
-    res = integrate(lambda k: np.abs(np.cos(k)), 0.0, np.pi, spec)
-    assert abs(res.value - 2.0) < 1e-9
+    res = integrate(lambda k: np.abs(np.cos(k)), 0.0, np.pi, spec, breaks=(np.pi / 2,))
+    assert abs(res.value - 2.0) < 1e-14
     assert res.error < spec.tol
+    assert res.nodes == 226
 
 
 def test_budget_exhaustion_reports_achieved():
-    # kink at pi/2 is not a dyadic fraction of [0, 1.8], so no panel edge
-    # ever lands on it and the budget runs out at this tolerance
+    # the kink at pi/2 is not passed as a break, so the rule converges only
+    # algebraically: levels 4 and 5 (225 nodes) fall short of this tolerance
     spec = QuadratureSpec(tol=1e-14, max_nodes=256)
     with pytest.raises(NumericalError) as err:
         integrate(lambda k: np.abs(np.cos(k)), 0.0, 1.8, spec)
@@ -52,8 +53,10 @@ def test_spec_validation():
     for tol in (0.0, math.inf):  # an infinite tol would accept the first two estimates
         with pytest.raises(ValueError, match="tol must be positive"):
             QuadratureSpec(tol=tol)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_nodes=8)
+    for max_nodes in (8, 112):   # below the first level's 113 nodes
+        with pytest.raises(ValueError, match="max_nodes must be at least 113"):
+            QuadratureSpec(max_nodes=max_nodes)
+    assert QuadratureSpec(max_nodes=113).max_nodes == 113
     with pytest.raises(ValueError):
         integrate(np.sin, 1.0, 0.0)
 
@@ -63,27 +66,29 @@ def _kinked(k):
 
 
 def test_breaks_sum_the_pieces():
-    # the kink at pi/2 is a break; each piece gets tol in proportion to its length
+    # the kink at pi/2 is a break (given twice, counted once); the pieces
+    # share one tol, so the error is summed over both, and each piece alone
+    # gives the same value
     spec = QuadratureSpec(tol=1e-12)
     whole = integrate(_kinked, 0.0, 1.8, spec, breaks=(np.pi / 2, np.pi / 2))
-    left = integrate(_kinked, 0.0, np.pi / 2, QuadratureSpec(tol=1e-12 * (np.pi / 2) / 1.8))
-    right = integrate(_kinked, np.pi / 2, 1.8,
-                      QuadratureSpec(tol=1e-12 * (1.8 - np.pi / 2) / 1.8))
-    assert whole == Integral(left.value + right.value, left.error + right.error,
-                             left.nodes + right.nodes)
+    left = integrate(_kinked, 0.0, np.pi / 2, spec)
+    right = integrate(_kinked, np.pi / 2, 1.8, spec)
+    assert abs(whole.value - (left.value + right.value)) <= 1e-15
     assert abs(whole.value - (2.0 - math.sin(1.8))) < 1e-14
     assert whole.error < spec.tol
-    assert whole.nodes <= 64   # the same tolerance without the break runs out of 256 nodes
+    assert whole.nodes == left.nodes + right.nodes == 226
+    with pytest.raises(NumericalError):   # the same tolerance without the break
+        integrate(_kinked, 0.0, 1.8, QuadratureSpec(tol=1e-12, max_nodes=1 << 12))
 
 
 def test_breaks_share_one_node_budget():
-    # each piece converges in 32 nodes; 48 would be enough for either piece
-    # alone but not for both
-    res = integrate(_kinked, 0.0, 1.8, QuadratureSpec(tol=1e-10, max_nodes=64),
+    # both pieces converge on the first level, 113 nodes each: a budget of
+    # 225 would hold either piece alone but not both
+    res = integrate(_kinked, 0.0, 1.8, QuadratureSpec(tol=1e-10, max_nodes=226),
                     breaks=(np.pi / 2,))
-    assert res.nodes == 64
+    assert res.nodes == 226
     with pytest.raises(NumericalError) as err:
-        integrate(_kinked, 0.0, 1.8, QuadratureSpec(tol=1e-10, max_nodes=48),
+        integrate(_kinked, 0.0, 1.8, QuadratureSpec(tol=1e-10, max_nodes=225),
                   breaks=(np.pi / 2,))
     assert err.value.achieved > 1e-10
 
@@ -94,65 +99,46 @@ def test_breaks_at_or_outside_the_interval_are_ignored():
     assert integrate(np.sin, 0.0, np.pi, spec, breaks=(0.0, np.pi, -1.0, 4.0)) == plain
 
 
-# --- the panel layout cache ------------------------------------------------
+# --- the nested levels and their cached tables -------------------------------
 
-_CACHED_PANELS = (1, 2, 4, 8, 16, 32, 64, 128, 256)   # every layout of at most 4096 nodes
-
-
-def _reference_panels(a, b, panels):
-    # the layout construction as written before layouts were cached
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (b - a) / panels
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half * _NODES[None, :]).ravel()
-    wts = np.tile(half * _WEIGHTS, panels)
-    return pts, wts
-
-
-def _reference_doubling(f, a, b, tol, max_nodes):
-    # panel doubling on layouts built per call on [a, b] itself, as before
-    # layouts were cached
-    panels, prev, change = 1, np.nan, np.inf
-    while panels * 16 <= max_nodes:
-        pts, wts = _reference_panels(a, b, panels)
-        est = float(np.dot(f(pts), wts))
-        if panels > 1:
-            change = abs(est - prev)
-            if change < tol:
-                return Integral(est, change, panels * 16)
-        prev = est
-        panels *= 2
-    return Integral(prev, change, panels // 2 * 16)
+def _direct_rule(f, a, b, level):
+    # level `level` of tanh-sinh on [a, b] in one sum over its whole grid,
+    # built from the substitution itself, with no nesting and no cache
+    t = np.arange(-3.5, 3.5 + 2.0 ** -level / 2, 2.0 ** -level)
+    s = 0.5 * np.pi * np.sinh(t)
+    x = a + (b - a) * (1.0 + np.tanh(s)) / 2.0
+    w = (b - a) * 2.0 ** -level * 0.25 * np.pi * np.cosh(t) / np.cosh(s) ** 2
+    return float(np.dot(f(x), w))
 
 
 @pytest.mark.parametrize("f, a, b, breaks", [
-    (np.sin, 0.0, np.pi, ()),
-    (lambda k: np.sqrt(1.0 + 0.5 * np.cos(k)), 0.0, np.pi, ()),
-    (_kinked, 0.0, 1.8, (np.pi / 2,)),
-], ids=["sin", "band", "break-split"])
-def test_cached_layouts_match_the_reference_construction(monkeypatch, f, a, b, breaks):
+    (np.sin, 0.0, np.pi, ()),                                           # level 4
+    (lambda k: np.sqrt(np.cos(k) ** 2 + 1e-2), 0.0, np.pi, ()),         # level 8
+    (lambda k: np.sqrt(np.cos(k) ** 2 + 1e-4), 0.0, 1.8, (np.pi / 2,)),  # level 5
+    (lambda k: np.sqrt(np.cos(k) ** 2 + 1e-4), 0.0, np.pi, ()),         # level 11
+], ids=["sin", "band", "break-split", "past-the-cache"])
+def test_cached_layouts_match_the_reference_construction(f, a, b, breaks):
+    # every level is the previous one halved plus its new nodes: the result
+    # equals the whole grid of the level it stopped at, summed directly
+    quadrature._table.cache_clear()
     spec = QuadratureSpec(tol=1e-13)
-    quadrature._layout.cache_clear()
     cold = integrate(f, a, b, spec, breaks)
-    warm = integrate(f, a, b, spec, breaks)
-    for panels in (*_CACHED_PANELS, 512):
-        for got, want in zip(quadrature._layout(panels), _reference_panels(0.0, np.pi, panels)):
-            assert got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
-    monkeypatch.setattr(quadrature, "_panel_doubling", _reference_doubling)
-    reference = integrate(f, a, b, spec, breaks)
-    assert cold == warm
-    if (a, b, breaks) == (0.0, np.pi, ()):
-        assert cold == reference    # [0, pi] uses the cached nodes as they are
-    else:
-        # each piece uses the affine image of the [0, pi] nodes, which rounds
-        # differently from nodes built on the piece itself
-        assert cold.nodes == reference.nodes
-        assert abs(cold.value - reference.value) <= 1e-15
-        assert abs(cold.error - reference.error) <= 1e-15
+    assert integrate(f, a, b, spec, breaks) == cold
+    edges = [a, *breaks, b]
+    per_piece = cold.nodes // (len(edges) - 1)
+    level = int(math.log2((per_piece - 1) // 7))
+    assert per_piece == 7 * 2 ** level + 1
+    direct = sum(_direct_rule(f, lo, hi, level) for lo, hi in zip(edges[:-1], edges[1:]))
+    assert abs(cold.value - direct) <= 4e-16 * abs(direct)
+    for cached in range(4, min(level, 10) + 1):
+        for table in quadrature._table(cached):
+            assert not table.flags.writeable
+    assert quadrature._table.cache_info().currsize == min(level, 10) - 3
 
 
 def test_integrand_cannot_write_into_a_cached_layout():
+    # the integrand gets a fresh array of abscissae, so writing into it
+    # changes no later result
     spec = QuadratureSpec()
     before = integrate(np.sin, 0.0, np.pi, spec)
 
@@ -160,58 +146,32 @@ def test_integrand_cannot_write_into_a_cached_layout():
         k *= 2.0
         return np.sin(k)
 
-    with pytest.raises(ValueError):
-        integrate(vandal, 0.0, np.pi, spec)
+    assert abs(integrate(vandal, 0.0, np.pi, spec).value) < 1e-14
     assert integrate(np.sin, 0.0, np.pi, spec) == before
 
 
-def test_layout_cache_holds_at_most_its_entry_bound():
-    quadrature._layout.cache_clear()
-    for i in range(300):
-        kink = 0.5 + 2.0 * i / 300
-        integrate(lambda k, c=math.cos(kink): np.abs(np.cos(k) - c), 0.0, np.pi,
-                  breaks=(kink,))
-        integrate(np.cos, 0.0, 1.0 + i / 300)
-        assert quadrature._layout.cache_info().currsize <= len(_CACHED_PANELS)
-
-
 def test_layout_cache_memory_stays_within_its_stated_bound():
-    # the module docstring states 9 layouts, 128 KiB of arrays, under 160 KiB
-    # with their objects
-    assert sum(p * quadrature._ORDER * 2 * 8 for p in _CACHED_PANELS) <= 128 * 2 ** 10
-    bound = 160 * 2 ** 10
-    # integrands that never converge drive every interval to a 65,536-node
-    # budget; caching any layout above the node cap would break the bound
-    spec = QuadratureSpec(tol=1e-300, max_nodes=1 << 16)
-    quadrature._layout.cache_clear()
+    # the module docstring states the tables of levels 4-10: 7,169 nodes,
+    # 114,704 bytes of arrays, under 128 KiB with their objects
+    cached = sum(quadrature._table(level)[0].size for level in range(4, 11))
+    assert cached == 7169 and 2 * 8 * cached == 114_704
+    bound = 128 * 2 ** 10
+    # an integrand that never converges runs every level up to the default
+    # budget (level 17, 917,505 nodes); caching a level above 10 would break
+    # the bound
+    spec = QuadratureSpec(tol=1e-300)
+    quadrature._table.cache_clear()
     tracemalloc.start()
     try:
         held_before = tracemalloc.get_traced_memory()[0]
-        for i in range(2 * len(_CACHED_PANELS)):
+        for i in range(2):
             with pytest.raises(NumericalError):
                 integrate(lambda k: np.sin(1e4 * k), 0.0, 1.0 + i, spec)
         held = tracemalloc.get_traced_memory()[0] - held_before
     finally:
         tracemalloc.stop()
-    assert quadrature._layout.cache_info().currsize == len(_CACHED_PANELS)
+    assert quadrature._table.cache_info().currsize == 7
     assert held <= bound
-
-
-def test_kinked_sweep_reuses_every_layout(monkeypatch):
-    # np.tile is called by the layout construction alone, so a counting tile
-    # sees every layout built; a kink piece on a new interval builds none
-    def sweep(shift):
-        cfg = preset_config("fig2-iso", steps=41, start=shift, stop=4.0 + shift,
-                            outputs="e_g,m_z,chi")
-        return list(run_sweep(cfg))
-
-    sweep(0.0)
-    tiles = []
-    real_tile = np.tile
-    monkeypatch.setattr(np, "tile", lambda a, reps: tiles.append(reps) or real_tile(a, reps))
-    sweep(0.3 * 4.0 / 40)
-    assert tiles == []
-    assert quadrature._layout.cache_info().currsize <= len(_CACHED_PANELS)
 
 
 def test_preset_bytes_do_not_depend_on_the_cache_state():
@@ -220,9 +180,9 @@ def test_preset_bytes_do_not_depend_on_the_cache_state():
         write_csv(run_sweep(preset_config(name, outputs="e_g,m_z,chi,phase,gap")), buf)
         return buf.getvalue()
 
-    quadrature._layout.cache_clear()
+    quadrature._table.cache_clear()
     cold = preset_csv("fig2-aniso")
     preset_csv("fig3-right")
     preset_csv("fig2-tfi")
-    assert quadrature._layout.cache_info().hits > 0
+    assert quadrature._table.cache_info().hits > 0
     assert preset_csv("fig2-aniso") == cold
