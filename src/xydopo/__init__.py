@@ -56,7 +56,6 @@ from .dopo import (
 )
 from .mapping import (
     MapEnergyReport,
-    MappingResult,
     map_dopo_to_xy,
     map_energy_density,
     map_xy_to_dopo,

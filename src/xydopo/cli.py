@@ -151,11 +151,10 @@ def _cmd_map(args) -> int:
         _emit(args, {"xy": {"jx": back.jx, "jy": back.jy, "h": back.h}},
               f"jx,jy,h\n{back.jx:.12g},{back.jy:.12g},{back.h:.12g}")
         return 0
-    res = map_xy_to_dopo(_params(args, XYParams))
-    d = res.dopo
-    _emit(args, {"dopo": {"j": d.j, "delta": d.delta, "d2": d.d2}, "physical": res.physical},
+    d = map_xy_to_dopo(_params(args, XYParams))
+    _emit(args, {"dopo": {"j": d.j, "delta": d.delta, "d2": d.d2}, "physical": d.is_physical},
           f"j,delta,d2,physical\n{d.j:.12g},{d.delta:.12g},{d.d2:.12g},"
-          f"{str(res.physical).lower()}")
+          f"{str(d.is_physical).lower()}")
     return 0
 
 

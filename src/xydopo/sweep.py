@@ -243,8 +243,8 @@ def _point_model(cfg: SweepConfig, c: float):
         return (lambda x: dopo_energy_density(p.with_delta(x), quad).value,
                 lambda: dopo_classify_phase(p), lambda: dopo_gap(p), {"delta": c})
     p = cfg.params.with_h(c)
-    network = map_xy_to_dopo(p).dopo
-    return (lambda x: dopo_energy_density(map_xy_to_dopo(p.with_h(x)).dopo, quad).value,
+    network = map_xy_to_dopo(p)
+    return (lambda x: dopo_energy_density(map_xy_to_dopo(p.with_h(x)), quad).value,
             lambda: _PHASE_TRANSLATION[xy_phase(p)], lambda: dopo_gap(network),
             {"h": c, "delta": network.delta})
 
@@ -335,13 +335,9 @@ def _meta(cfg: SweepConfig) -> dict:
 
 
 def write_json(cfg: SweepConfig, records: Iterable[SweepRecord], out: TextIO) -> None:
-    out.write('{"meta": ')
-    json.dump(_meta(cfg), out)
-    out.write(', "records": [')
+    out.write('{"meta": ' + json.dumps(_meta(cfg)) + ', "records": [')
     for i, r in enumerate(records):
-        if i:
-            out.write(", ")
-        json.dump(dict(zip(_RECORD_FIELDS, _record_values(r))), out)
+        out.write((", " if i else "") + json.dumps(dict(zip(_RECORD_FIELDS, _record_values(r)))))
     out.write("]}\n")
 
 
@@ -368,12 +364,12 @@ def run_critical(params: XYParams | DopoParams) -> dict:
         mapped_rows = []
         for hc, _ in crit.values:
             m = map_xy_to_dopo(params.with_h(hc))
-            row = {"h_c": hc, "delta_at_hc": m.dopo.delta, "physical": m.physical}
-            if m.physical:
+            row = {"h_c": hc, "delta_at_hc": m.delta, "physical": m.is_physical}
+            if m.is_physical:
                 # a negative mapped delta = -h (jx + jy) / sqrt(jx jy) reaches the
                 # lowest threshold, -2j - drive; a positive one the highest
-                row["delta_c"] = dopo_threshold_detunings(m.dopo)[-1 if m.dopo.delta > 0 else 0]
-                row["residual"] = m.dopo.delta - row["delta_c"]
+                row["delta_c"] = dopo_threshold_detunings(m)[-1 if m.delta > 0 else 0]
+                row["residual"] = m.delta - row["delta_c"]
             mapped_rows.append(row)
         report["mapped"] = mapped_rows
     return report
@@ -492,7 +488,7 @@ def _critical_rows():
 def _round_trip_rows(chains, bound: float):
     """Each coupling recovered by inverting the map at the chain's own field."""
     for p in chains:
-        back = map_dopo_to_xy(map_xy_to_dopo(p).dopo, p.h)
+        back = map_dopo_to_xy(map_xy_to_dopo(p), p.h)
         for name, want in (("jx", max(p.jx, p.jy)), ("jy", min(p.jx, p.jy))):
             miss = math.inf if back is None else abs(getattr(back, name) - want)
             yield f"{name} from {p}", miss, bound

@@ -275,7 +275,7 @@ def test_criterion_7_phase_classification():
         records = list(run_sweep(cfg))
         controls = [r.control for r in records]
         phases = [r.phase for r in records]
-        delta_c = map_xy_to_dopo(cfg.params.with_h(hc)).dopo.delta
+        delta_c = map_xy_to_dopo(cfg.params.with_h(hc)).delta
         deltas = np.array([r.delta for r in records])
         bracket = np.searchsorted(-deltas, -delta_c)  # deltas decrease with h
         if not _phase_flip_ok(controls, phases, hc, SUPERRADIANT, NORMAL):

@@ -56,6 +56,14 @@ def test_map_invert_no_solution(capsys):
     assert "no-solution" in out
 
 
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_map_invert_refuses_a_non_finite_field(capsys, h):
+    code, out, err = run_cli(capsys, "map", "--invert", "--j", "2", "--delta", "-2",
+                             "--d2", "0", "--h", h)
+    assert code == 2
+    assert out == "" and "h must be a finite real number" in err
+
+
 def test_map_missing_arguments(capsys):
     code, _, err = run_cli(capsys, "map", "--jx", "2")
     assert code == 2

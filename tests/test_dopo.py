@@ -61,7 +61,7 @@ def test_zero_point_energy_two_modes():
 def test_zero_point_energy_matches_density_shift_at_finite_n():
     # mapped isotropic chain at h = 3: e_xy = -3 exactly, shift = 3
     mapped = map_xy_to_dopo(XYParams(1.0, 1.0, 3.0))
-    zp = dopo_zero_point_energy(mapped.dopo, build_grid(64))
+    zp = dopo_zero_point_energy(mapped, build_grid(64))
     assert zp == pytest.approx(64 * (3.0 + 3.0), abs=1e-9)
     # at a critical field min Omega^2 is rounding at k = pi, not an unstable mode:
     # the network's sum is the chain's -E on the same grid plus n times the shift
@@ -70,7 +70,7 @@ def test_zero_point_energy_matches_density_shift_at_finite_n():
         shift = h * (jx + jy) / (2.0 * math.sqrt(jx * jy))
         for n in (2, 4, 8, 16, 32, 64):
             grid = build_grid(n)
-            zp = dopo_zero_point_energy(map_xy_to_dopo(src).dopo, grid)
+            zp = dopo_zero_point_energy(map_xy_to_dopo(src), grid)
             assert zp == pytest.approx(n * shift - xy_ground_energy_finite(src, grid), abs=1e-9)
 
 
@@ -99,7 +99,7 @@ def test_energy_density_unstable_window_endpoints():
 def test_energy_density_stable_at_the_mapped_critical_field(jx, jy, h):
     # min Omega^2 is rounding here (about -7e-16 and -3e-14), not an unstable mode
     src = XYParams(jx, jy, h)
-    e = dopo_energy_density(map_xy_to_dopo(src).dopo).value
+    e = dopo_energy_density(map_xy_to_dopo(src)).value
     e_xy = xy_energy_density(src).value
     assert e == pytest.approx(-e_xy + h * (jx + jy) / (2.0 * math.sqrt(jx * jy)), abs=1e-9)
 
