@@ -12,20 +12,21 @@ real arithmetic:
 
 A pair flip keeps the parity prod_i sz_i (Lieb, Schultz & Mattis 1961), so
 each parity sector is a closed block of 2^(n-1) states, solved on its own and
-merged afterwards. Each block is built once, as a sparse matrix. The dense
-method diagonalizes every block as a full matrix (about 33 MB per block at
-n = 12, the dense limit) and is the reference. The Lanczos method does the same
-for blocks of at most 128 states (n <= 8), where that is faster, and runs
-ARPACK's implicitly restarted Lanczos (scipy's eigsh) on the sparse block above
-that, to n = 20: at n = 12, about 0.015 s against 1.6 s dense on one BLAS
-thread of a 2-vCPU x86 host, with energies equal to about 1e-13.
-ed_ground_state is dense unless asked otherwise and keeps eight levels per
-dense block, two per ARPACK block, for its gap and m_z. ed_vs_analytic, and
-through it validate's ED table, finds one level per sector on a block about 2n
-times smaller (see its docstring): 1,162 and 1,088 states against 32,768 at
-n = 16, 0.015 s against 0.24 s. That block's couplings-free structure is built
-once per (n, parity) and cached, 13.0 MB for every even n to 20 and 0.9 MB
-to n = 16. scipy is imported only when a block is built.
+merged afterwards. _rows (couplings-free) and _block (the amplitudes above)
+are the one statement of H's rows for every block. Each block is built once,
+as a sparse matrix. The dense method diagonalizes every block as a full matrix
+(about 33 MB per block at n = 12, the dense limit) and is the reference. The
+Lanczos method does the same for blocks of at most 128 states (n <= 8), where
+that is faster, and runs ARPACK's implicitly restarted Lanczos (scipy's eigsh)
+on the sparse block above that, to n = 20: at n = 12, about 0.015 s against
+1.6 s dense on one BLAS thread of a 2-vCPU x86 host, with energies equal to
+about 1e-13. ed_ground_state is dense unless asked otherwise and keeps eight
+levels per dense block, two per ARPACK block, for its gap and m_z.
+ed_vs_analytic, and through it validate's ED table, finds one level per sector
+on a block about 2n times smaller (see its docstring): 1,162 and 1,088 states
+against 32,768 at n = 16, 0.015 s against 0.24 s. That block's couplings-free
+structure is built once per (n, parity) and cached, 13.0 MB for every even n
+to 20 and 0.9 MB to n = 16. scipy is imported only when a block is built.
 """
 
 from __future__ import annotations
@@ -61,34 +62,34 @@ class EdResult:
     gap: float              # E1 - E0 over both sectors (about 0 if degenerate)
 
 
-def _hamiltonian_rows(p: XYParams, n: int, states: np.ndarray, shift: int):
-    """Rows of H on states, a set that every pair flip maps into itself, with
-    state s at index s >> shift: a (len(states), n + 1) array of column
-    indices and one of amplitudes, the diagonal first and then one per bond.
-    H is symmetric, so the flips out of s give the entries of its row."""
-    cols = [states >> shift]
-    amps = [-p.h * (n - 2.0 * np.bitwise_count(states))]  # bit=0 -> sz=+1
+def _rows(n: int, states: np.ndarray, shift: int):
+    """H's couplings-free rows on states, a set that every pair flip maps into itself,
+    state s at index s >> shift: column indices (the diagonal first, then one per bond),
+    each bond's aligned-pair mask and each state's sum_i sz_i (bit 0 is sz = +1). H is
+    symmetric, so the flips out of s give the entries of its row."""
+    cols, aligned = [states >> shift], []
     for i in range(n):
         j = (i + 1) % n
-        aligned = (((states >> i) ^ (states >> j)) & 1) == 0
+        aligned.append((((states >> i) ^ (states >> j)) & 1) == 0)
         cols.append((states ^ ((1 << i) | (1 << j))) >> shift)
-        amps.append(np.where(aligned, p.jy - p.jx, -(p.jx + p.jy)))
-    return np.stack(cols, axis=1), np.stack(amps, axis=1)
+    return np.stack(cols, axis=1), np.stack(aligned, axis=1), n - 2.0 * np.bitwise_count(states)
 
 
-def _block(cols: np.ndarray, amps: np.ndarray):
-    """The rows from _hamiltonian_rows as a CSR matrix. Entries of a row that
-    share a column stand for their sum, as toarray and the sparse product both
-    read them (at n = 2 both bonds flip one pair)."""
+def _block(cols, aligned, sz, a: float, b: float, h: float, weight=1.0):
+    """The rows from _rows as a CSR matrix, for couplings (a, b) = (jx, jy) or a sign
+    frame of them: -h sum_i sz_i on the diagonal, b - a on an aligned pair and -(a + b)
+    on an anti-aligned one, times the bond's weight. Entries of a row that share a column
+    stand for their sum, as toarray and the sparse product both read them (at n = 2)."""
     import scipy.sparse
 
+    amps = np.column_stack([-h * sz, np.where(aligned, b - a, -(a + b)) * weight])
     indptr = np.arange(0, amps.size + 1, amps.shape[1])
     return scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(len(cols),) * 2)
 
 
 def spin_hamiltonian_dense(p: XYParams, n: int) -> np.ndarray:
     """Full 2^n x 2^n real symmetric Hamiltonian matrix."""
-    return _block(*_hamiltonian_rows(p, n, np.arange(1 << n, dtype=np.int64), 0)).toarray()
+    return _block(*_rows(n, np.arange(1 << n, dtype=np.int64), 0), p.jx, p.jy, p.h).toarray()
 
 
 def _sector_states(n: int, odd: int) -> np.ndarray:
@@ -130,13 +131,13 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
     if p.jx == 0.0 and p.jy == 0.0:
         if p.h == 0.0:
             return np.zeros(1), np.zeros(1)
-        sz = n - 2.0 * np.arange(odd, n + 1, 2)  # as _hamiltonian_rows' diagonal
+        sz = n - 2.0 * np.arange(odd, n + 1, 2)  # as _rows' sum_i sz_i
         sz = sz[np.argsort(-p.h * sz)]
         return -p.h * sz, sz
-    states = _sector_states(n, odd)
-    levels, vecs = _lowest(_block(*_hamiltonian_rows(p, n, states, 1)), method == DENSE,
+    cols, aligned, sz = _rows(n, _sector_states(n, odd), 1)
+    levels, vecs = _lowest(_block(cols, aligned, sz, p.jx, p.jy, p.h), method == DENSE,
                            _DENSE_LEVELS, p, n, odd)
-    return levels, (vecs * vecs).T @ (n - 2.0 * np.bitwise_count(states))
+    return levels, (vecs * vecs).T @ sz
 
 
 @lru_cache(maxsize=20)  # even n in 2..20, both parities: 13.0 MB in all, 0.9 MB for n <= 16
@@ -152,11 +153,8 @@ def _dihedral_block(n: int, odd: int):
             t = ((t << 1) | (t >> (n - 1))) & ((1 << n) - 1)
             rep = np.minimum(rep, t)
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
-    # the chain (0, 1, h=-1) has sum_i sz_i on its diagonal and pair-flip
-    # amplitudes +1 on aligned pairs, -1 on anti-aligned ones
-    cols, amps = _hamiltonian_rows(XYParams(0.0, 1.0, -1.0), n, reps, 0)
+    cols, aligned, sz = _rows(n, reps, 0)
     cols = orbit[cols >> 1]
-    aligned, sz = amps[:, 1:] > 0.0, amps[:, 0].copy()
     weight = np.sqrt(size[:, None] / size[cols[:, 1:]])
     cols.flags.writeable = aligned.flags.writeable = weight.flags.writeable = sz.flags.writeable = False
     return cols, aligned, weight, sz
@@ -172,8 +170,7 @@ def _perron_level(p: XYParams, n: int, odd: int) -> float:
     if a < 0.0:
         a, b = -a, -b
     cols, aligned, weight, sz = _dihedral_block(n, odd)
-    amps = np.column_stack([-p.h * sz, np.where(aligned, b - a, -(a + b)) * weight])
-    return float(_lowest(_block(cols, amps), False, 1, p, n, odd)[0][0])
+    return float(_lowest(_block(cols, aligned, sz, a, b, p.h, weight), False, 1, p, n, odd)[0][0])
 
 
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:

@@ -51,7 +51,6 @@ from .types import (
     PERIODIC,
     PARAMAGNETIC,
     SUPERRADIANT,
-    DegenerateModelError,
     DopoParams,
     SweepRecord,
     UnstablePhaseError,
@@ -59,6 +58,8 @@ from .types import (
     build_grid,
 )
 from .xy import (
+    _critical_fields,
+    _stencil,
     require_chi_tolerance,
     xy_critical_fields,
     xy_energy_density,
@@ -249,15 +250,12 @@ def _point_model(cfg: SweepConfig, c: float):
             {"h": c, "delta": network.delta})
 
 
-def _evaluate_point(cfg: SweepConfig, c: float, critical: list[float],
+def _evaluate_point(cfg: SweepConfig, c: float, critical: tuple[float, ...],
                     nearest_critical: bool) -> SweepRecord:
-    """One record from the stencil e(c - dh), e(c), e(c + dh), computing each
-    energy at most once and only when a requested column uses it; critical
-    lists the sweep's critical controls, nearest_critical flags this point."""
+    """One record from xy._stencil at c; critical lists the sweep's critical
+    controls, nearest_critical flags this point."""
     wants = set(cfg.outputs)
     energy, phase, gap, axes = _point_model(cfg, c)
-    dh = cfg.dh
-    derivatives = wants & {"m_z", "chi"}
 
     def stable_energy(x: float) -> float | None:
         try:
@@ -265,32 +263,23 @@ def _evaluate_point(cfg: SweepConfig, c: float, critical: list[float],
         except UnstablePhaseError:
             return None  # an unstable network has no ground-state energy
 
-    mid = stable_energy(c) if wants & {"e_g", "chi"} else None
-    lo, hi = (stable_energy(c - dh), stable_energy(c + dh)) if derivatives else (None, None)
-    m_z = chi = None
-    if "m_z" in wants and None not in (lo, hi):
-        m_z = (lo - hi) / (2.0 * dh)
-    if "chi" in wants and None not in (lo, mid, hi):
-        chi = (2.0 * mid - hi - lo) / (dh * dh)
+    e_g, m_z, chi, straddles = _stencil(stable_energy, c, cfg.dh, wants, critical)
     flags = ["critical"] if nearest_critical else []
     if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
         flags.append("unstable-step")
-    if derivatives and any(abs(c - crit) < dh for crit in critical):
+    if straddles:
         flags.append("straddle")
-    return SweepRecord(control=c, **axes, e_g=mid if "e_g" in wants else None,
-                       m_z=m_z, chi=chi, phase=phase() if "phase" in wants else None,
+    return SweepRecord(control=c, **axes, e_g=e_g, m_z=m_z, chi=chi,
+                       phase=phase() if "phase" in wants else None,
                        gap=gap() if "gap" in wants else None, flags=";".join(flags))
 
 
-def _critical_controls(cfg: SweepConfig) -> list[float]:
-    try:
-        if cfg.model in ("xy", "mapped"):
-            return [hc for hc, _ in xy_critical_fields(cfg.params).values]
+def _critical_controls(cfg: SweepConfig) -> tuple[float, ...]:
+    if cfg.model == "dopo":
         # the inner thresholds -+(2|j| - sqrt(d2)) lie inside the unstable window
         lowest, *_, highest = dopo_threshold_detunings(cfg.params)
-        return [lowest, highest]
-    except DegenerateModelError:
-        return []
+        return lowest, highest
+    return _critical_fields(cfg.params)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
@@ -444,13 +433,14 @@ def _severity(row: tuple) -> float:
 
 
 def _check(name: str, rows: Iterable[tuple]) -> Check:
-    """Judge one check's (case, residual, bound) rows, drawn here so that an exception
-    fails the check and the report still completes. It passes only when every
-    residual <= bound, so a NaN fails. The detail names the worst row."""
+    """Judge one check's ((format, *values), residual, bound) rows, drawn here so that
+    an exception fails the check and the report still completes. It passes only when
+    every residual <= bound, so a NaN fails. The detail formats the worst row's case."""
     try:
         rows = list(rows)
-        case, residual, bound = max(rows, key=_severity)
-        return Check(name, all(r <= b for _, r, b in rows), f"{case}: {residual:.2e} (bound {bound:g})")
+        (case, *values), residual, bound = max(rows, key=_severity)
+        return Check(name, all(r <= b for _, r, b in rows),
+                     f"{case.format(*values)}: {residual:.2e} (bound {bound:g})")
     except Exception as exc:  # aggregated, the report must always complete
         return Check(name, False, f"raised {type(exc).__name__}: {exc}")
 
@@ -464,14 +454,14 @@ def _random_xy(seed: int, count: int, j_low: float, h_low: float, h_high: float)
 def _spectral_rows(chains):
     grid = build_grid(128)
     for p in chains:
-        yield f"max_k |E_k^2 - Omega_k^2| at {p}", verify_spectral_match(p, grid), 1e-9
+        yield ("max_k |E_k^2 - Omega_k^2| at {}", p), verify_spectral_match(p, grid), 1e-9
 
 
 def _shift_rows(chains):
     """The energy-shift identity; an unstable mapped network misses it by inf."""
     for p in chains:
         rep = map_energy_density(p)
-        yield f"energy-shift residual at {p}", abs(rep.residual) if rep.stable else math.inf, 1e-8
+        yield ("energy-shift residual at {}", p), abs(rep.residual) if rep.stable else math.inf, 1e-8
 
 
 def _critical_rows():
@@ -479,10 +469,10 @@ def _critical_rows():
     for jx, jy, hc in ((2.0, 1.0, 3.0), (1.0, 1.0, 2.0), (1.0, 0.0, 1.0), (1.0, 0.01, 1.01)):
         p = XYParams(jx, jy, 0.0)
         got = sorted(v for v, _ in xy_critical_fields(p).values)
-        yield f"critical fields {got} of {p}", 0.0 if got == [-hc, hc] else math.inf, 0.0
+        yield ("critical fields {} of {}", got, p), 0.0 if got == [-hc, hc] else math.inf, 0.0
         for row in run_critical(p).get("mapped", ()):  # no map when jx*jy = 0
             if row["physical"]:
-                yield f"transported h_c={row['h_c']:+g} of {p}", abs(row["residual"]), 1e-9
+                yield ("transported h_c={:+g} of {}", row["h_c"], p), abs(row["residual"]), 1e-9
 
 
 def _round_trip_rows(chains, bound: float):
@@ -491,7 +481,7 @@ def _round_trip_rows(chains, bound: float):
         back = map_dopo_to_xy(map_xy_to_dopo(p), p.h)
         for name, want in (("jx", max(p.jx, p.jy)), ("jy", min(p.jx, p.jy))):
             miss = math.inf if back is None else abs(getattr(back, name) - want)
-            yield f"{name} from {p}", miss, bound
+            yield ("{} from {}", name, p), miss, bound
 
 
 def _ed_rows():
@@ -500,14 +490,14 @@ def _ed_rows():
         p = XYParams(jx, jy, 1.5 * hc)
         for n in (6, 8, 10, 12):
             e0 = ed_vs_analytic(p, n).ed_energy
-            yield f"|E_ED - E_ring| at {p}, n={n}", abs(e0 - xy_ground_energy_ring(p, n)), 1e-10
-        yield f"|E_ED/n - e| at {p}, n={n}", abs(e0 / n - xy_energy_density(p).value), 0.02
+            yield ("|E_ED - E_ring| at {}, n={}", p, n), abs(e0 - xy_ground_energy_ring(p, n)), 1e-10
+        yield ("|E_ED/n - e| at {}, n={}", p, n), abs(e0 / n - xy_energy_density(p).value), 0.02
 
 
 def _sector_rows():
     cmp = ed_vs_analytic(XYParams(1.0, 0.0, 2.0), 8)
-    yield "|E_ED - E_antiperiodic| at (1, 0, h=2), n=8", abs(cmp.residual_antiperiodic), 1e-9
-    yield f"sector matched: {cmp.matched_sector}", float(cmp.matched_sector != ANTIPERIODIC), 0.0
+    yield ("|E_ED - E_antiperiodic| at (1, 0, h=2), n=8",), abs(cmp.residual_antiperiodic), 1e-9
+    yield ("sector matched: {}", cmp.matched_sector), float(cmp.matched_sector != ANTIPERIODIC), 0.0
 
 
 def run_validate(level: str = "quick") -> ValidationReport:
@@ -520,10 +510,10 @@ def run_validate(level: str = "quick") -> ValidationReport:
     anchors = ((XYParams(1, 0, 0), -1.0, 1e-10), (XYParams(1, 0, 1), -4.0 / math.pi, 1e-8),
                (XYParams(1, 1, 3), -3.0, 1e-10), (XYParams(1, 1, 2.5), -2.5, 1e-10))
     checks = [
-        ("grid cosine sums", ((f"|sum cos k| at n={n}, {sector}",
+        ("grid cosine sums", ((("|sum cos k| at n={}, {}", n, sector),
                                abs(float(np.sum(np.cos(build_grid(n, sector).points)))), 1e-12)
                               for n in (2, 4, 16, 64) for sector in (PERIODIC, ANTIPERIODIC))),
-        ("closed-form anchors", ((f"|e - ({e:.12g})| at {p}", abs(xy_energy_density(p).value - e), tol)
+        ("closed-form anchors", ((("|e - ({:.12g})| at {}", e, p), abs(xy_energy_density(p).value - e), tol)
                                  for p, e, tol in anchors)),
         ("spectral match (presets)", _spectral_rows(
             XYParams(jx, jy, h) for jx, jy in ((2.0, 1.0), (1.0, 1.0), (1.0, 0.01))

@@ -8,7 +8,8 @@ with ground-state energy -(1/2) sum_k E_k at finite size and energy density
 -(1/(2*pi)) * integral_0^pi E_k dk in the thermodynamic limit. Field
 derivatives (magnetization, susceptibility) are central finite differences of
 the energy density, so the divergence at a critical field shows up as
-step-dependent growth rather than a special-cased formula.
+step-dependent growth rather than a special-cased formula. One stencil
+(_stencil) serves xy_magnetization, xy_susceptibility and every sweep's m_z, chi.
 """
 
 from __future__ import annotations
@@ -95,12 +96,32 @@ class FieldDerivative(NamedTuple):
     straddles_critical: bool   # the step window [h-dh, h+dh] contains a critical field
 
 
-def _straddles(p: XYParams, dh: float) -> bool:
-    try:
-        crit = xy_critical_fields(p)
-    except DegenerateModelError:
-        return False
-    return any(abs(p.h - hc) < dh for hc, _ in crit.values)
+def _stencil(energy, x: float, dh: float, columns, critical):
+    """(e_g, m_z, chi, straddles) of an energy function e at x: e(x), the quotients
+    (e(x-dh) - e(x+dh))/(2 dh) and (2 e(x) - e(x+dh) - e(x-dh))/dh^2, each None
+    unless columns requests it, and whether m_z or chi is requested with |x - c| < dh
+    for a critical control c. Each e is computed at most once, for a requested column
+    only; a None e (an unstable network) makes each column that reads it None."""
+    if not dh > 0:
+        raise ValueError("dh must be positive")
+    derivatives = not columns.isdisjoint(("m_z", "chi"))
+    mid = energy(x) if not columns.isdisjoint(("e_g", "chi")) else None
+    lo, hi = (energy(x - dh), energy(x + dh)) if derivatives else (None, None)
+    m_z = (lo - hi) / (2.0 * dh) if "m_z" in columns and None not in (lo, hi) else None
+    chi = (2.0 * mid - hi - lo) / (dh * dh) if "chi" in columns and None not in (lo, mid, hi) else None
+    return (mid if "e_g" in columns else None, m_z, chi,
+            derivatives and any(abs(x - c) < dh for c in critical))
+
+
+def _critical_fields(p: XYParams) -> tuple[float, ...]:
+    """The chain's critical fields -(jx+jy) and jx+jy; none for free spins (jx = jy = 0)."""
+    return () if p.jx == 0.0 and p.jy == 0.0 else (-p.js, p.js)
+
+
+def _chain_derivative(p: XYParams, quad: QuadratureSpec, dh: float, column: str) -> FieldDerivative:
+    _, m_z, chi, straddles = _stencil(lambda h: xy_energy_density(p.with_h(h), quad).value,
+                                      p.h, dh, {column}, _critical_fields(p))
+    return FieldDerivative(m_z if column == "m_z" else chi, straddles)
 
 
 def xy_magnetization(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
@@ -110,11 +131,7 @@ def xy_magnetization(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
     A step window that straddles a critical field is reported through the
     straddles_critical flag, not as an error.
     """
-    if not dh > 0:
-        raise ValueError("dh must be positive")
-    e_plus = xy_energy_density(p.with_h(p.h + dh), quad).value
-    e_minus = xy_energy_density(p.with_h(p.h - dh), quad).value
-    return FieldDerivative((e_minus - e_plus) / (2.0 * dh), _straddles(p, dh))
+    return _chain_derivative(p, quad, dh, "m_z")
 
 
 def require_chi_tolerance(quad: QuadratureSpec, dh: float) -> None:
@@ -135,14 +152,9 @@ def xy_susceptibility(p: XYParams, quad: QuadratureSpec = QuadratureSpec(),
     The quadrature tolerance must satisfy tol <= dh^2 * 1e-3 (see
     require_chi_tolerance), checked up front.
     """
-    if not dh > 0:
-        raise ValueError("dh must be positive")
-    require_chi_tolerance(quad, dh)
-    e_plus = xy_energy_density(p.with_h(p.h + dh), quad).value
-    e_mid = xy_energy_density(p, quad).value
-    e_minus = xy_energy_density(p.with_h(p.h - dh), quad).value
-    value = (2.0 * e_mid - e_plus - e_minus) / (dh * dh)
-    return FieldDerivative(value, _straddles(p, dh))
+    if dh > 0:  # a step that is not positive is the stencil's ValueError
+        require_chi_tolerance(quad, dh)
+    return _chain_derivative(p, quad, dh, "chi")
 
 
 @dataclass(frozen=True)
@@ -160,13 +172,13 @@ def xy_critical_fields(p: XYParams) -> CriticalFieldSet:
     Every chain closes the gap at k = 0 (h_c = -(jx+jy)) and k = pi
     (h_c = jx+jy); for an isotropic chain these are k_star = arccos(-h_c/(2*j)).
     """
-    if p.jx == 0.0 and p.jy == 0.0:
+    if not (fields := _critical_fields(p)):
         raise DegenerateModelError("jx = jy = 0: free spins, no transition")
     if p.jx == p.jy:
         case = ISOTROPIC
     else:
         case = TFI if (p.jx == 0.0 or p.jy == 0.0) else ANISOTROPIC
-    return CriticalFieldSet(((-p.js, 0.0), (p.js, math.pi)), case)
+    return CriticalFieldSet(tuple(zip(fields, (0.0, math.pi))), case)
 
 
 def xy_phase(p: XYParams) -> str:

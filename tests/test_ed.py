@@ -13,9 +13,9 @@ from xydopo.ed import (
     ODD,
     _block,
     _dihedral_block,
-    _hamiltonian_rows,
     _lowest,
     _perron_level,
+    _rows,
     _sector_levels,
     _sector_states,
     ed_ground_state,
@@ -45,7 +45,8 @@ def test_hamiltonian_matches_scatter_construction(point):
     p = XYParams(*point)
     for n in range(2, 9):
         dim = 1 << n
-        cols, amps = _hamiltonian_rows(p, n, np.arange(dim, dtype=np.int64), 0)
+        cols, aligned, sz = _rows(n, np.arange(dim, dtype=np.int64), 0)
+        amps = np.column_stack([-p.h * sz, np.where(aligned, p.jy - p.jx, -(p.jx + p.jy))])
         want = np.zeros((dim, dim))
         np.add.at(want, (np.arange(dim)[:, None], cols), amps)
         assert spin_hamiltonian_dense(p, n).tobytes() == want.tobytes(), n
@@ -267,7 +268,7 @@ def test_perron_block_holds_each_sector_ground_level(monkeypatch):
                 assert abs(level - want) <= 1e-12 * max(1.0, abs(want)), (point, n, odd)
                 if n <= 10:  # every level of the symmetric block is a level of the sector
                     parity = np.linalg.eigvalsh(
-                        _block(*_hamiltonian_rows(p, n, _sector_states(n, odd), 1)).toarray())
+                        _block(*_rows(n, _sector_states(n, odd), 1), p.jx, p.jy, p.h).toarray())
                     perron = np.linalg.eigvalsh(blocks[0])
                     miss = np.abs(perron[:, None] - parity[None, :]).min(axis=1)
                     assert miss.max() <= 1e-12 * max(1.0, np.abs(parity).max()), (point, n, odd)

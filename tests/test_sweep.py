@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from xydopo.dopo import dopo_squeezing
 from xydopo.quadrature import QuadratureSpec
 from xydopo.sweep import (
     CSV_HEADER,
@@ -59,6 +60,10 @@ def test_config_validation_messages():
         config_from_dict(dict(model="xy", jx=-1, jy=0, start=0, stop=1, steps=3))
     with pytest.raises(ConfigError, match="jx\\*jy"):
         config_from_dict(dict(model="mapped", jx=1, jy=0, start=0, stop=1, steps=3))
+    with pytest.raises(ConfigError, match=re.escape("params: ('j', 'd2') required for 'dopo'")):
+        SweepConfig("dopo", XYParams(1, 0, 0), 0.0, 1.0, 3)
+    with pytest.raises(ConfigError, match="format: must be csv or json"):
+        config_from_dict(dict(model="xy", jx=1, jy=0, start=0, stop=1, steps=3, format="xml"))
     # a directly built config is not converted: a mistyped field is named, not a TypeError
     for key, value in (("start", "0"), ("stop", "1"), ("dh", "1e-3"), ("steps", 3.0)):
         fields = {"start": 0.0, "stop": 1.0, "steps": 3, "dh": 1e-3, key: value}
@@ -209,6 +214,25 @@ def test_dopo_sweep_derivative_steps_near_instability():
     records = list(run_sweep(cfg))
     assert records[1].m_z is None
     assert "unstable-step" in records[1].flags
+
+
+@pytest.mark.parametrize("j, d2, delta", [(2.0, 1.0, 6.0), (2.0, 1.0, -6.0), (2.0, 1.0, 10.0),
+                                          (1.0, 0.5, 2.9), (1.0, 0.5, -2.9), (0.7, 0.2, -2.0),
+                                          (2.0, 0.0, 5.0), (2.0, 0.0, -5.0)])
+def test_dopo_magnetization_is_the_squeezed_photon_number(j, d2, delta):
+    # Hellmann-Feynman: -de/d(delta) is -nbar where every eps_k > 0 and 1 + nbar
+    # where every eps_k < 0, nbar = (1/pi) int_0^pi sinh^2 r_k dk the mean
+    # squeezed-photon number per oscillator; the miss is the O(dh^2) truncation
+    from scipy.integrate import quad
+
+    cfg = config_from_dict(dict(model="dopo", j=j, d2=d2, start=delta - 0.25,
+                                stop=delta + 0.25, steps=3, outputs="m_z"))
+    r = list(run_sweep(cfg))[1]
+    p = DopoParams(j, r.delta, d2)
+    nbar = quad(lambda k: math.sinh(dopo_squeezing(p, k).r) ** 2, 0.0, math.pi,
+                epsabs=1e-13, epsrel=1e-13)[0] / math.pi
+    want = -nbar if delta > 0 else 1.0 + nbar
+    assert r.m_z == pytest.approx(want, abs=1e-12 if d2 == 0.0 else 1e-6)
 
 
 @pytest.mark.parametrize("d2, boundaries", [(1.0, [-5.0, 5.0]), (0.0, [-4.0, 4.0])],

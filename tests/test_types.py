@@ -38,6 +38,12 @@ def test_bad_sizes_rejected(n):
         build_grid(n)
 
 
+@pytest.mark.parametrize("n", [4.0, True])
+def test_non_integer_sizes_rejected(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        build_grid(n)
+
+
 def test_bad_sector_rejected():
     with pytest.raises(ValueError):
         build_grid(4, "open")

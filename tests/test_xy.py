@@ -121,6 +121,10 @@ def test_magnetization_saturated():
     res = xy_magnetization(XYParams(1.0, 1.0, 3.0), dh=1e-4)
     assert res.value == pytest.approx(1.0, abs=1e-8)
     assert not res.straddles_critical
+    # free spins have no critical field, so no window straddles one
+    free = xy_magnetization(XYParams(0.0, 0.0, 0.5))
+    assert free.value == pytest.approx(1.0, abs=1e-12)
+    assert not free.straddles_critical
 
 
 def test_magnetization_zero_field():
@@ -140,6 +144,12 @@ def test_magnetization_straddle_flag():
 def test_susceptibility_tolerance_guard():
     with pytest.raises(NumericalError):
         xy_susceptibility(XYParams(1.0, 0.0, 0.5), QuadratureSpec(tol=1e-6), dh=1e-3)
+    # a step that is not positive is a ValueError, raised before the tolerance guard
+    p = XYParams(1.0, 0.0, 0.5)
+    for call in (lambda: xy_magnetization(p, dh=0.0), lambda: xy_susceptibility(p, dh=-1e-3),
+                 lambda: xy_susceptibility(p, QuadratureSpec(tol=1e-6), dh=0.0)):
+        with pytest.raises(ValueError, match="dh must be positive"):
+            call()
 
 
 def test_susceptibility_vanishes_in_polarized_phase():
