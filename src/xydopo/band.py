@@ -14,7 +14,7 @@ the kink, and near one the point where sqrt(q) bends sharpest.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,12 +32,13 @@ class CosBand(NamedTuple):
 
     def root(self, k):
         """The mode energy sqrt(max(q(cos k), 0)), vectorized over k: the clip
-        absorbs rounding at a marginal gap. A w or s of exactly 0 is skipped."""
+        absorbs rounding at a marginal gap. A w or s of exactly 0 is skipped;
+        a coefficient may be a column of stack, one value per row of k."""
         c = np.cos(k)
         q = (self.u + self.v * c) ** 2
-        if self.w:
+        if isinstance(self.w, np.ndarray) or self.w:
             q = q + self.w * (1.0 - c * c)
-        if self.s:
+        if isinstance(self.s, np.ndarray) or self.s:
             q = q - self.s
         return np.sqrt(np.maximum(q, 0.0))
 
@@ -58,3 +59,11 @@ class CosBand(NamedTuple):
         if self.w == 0.0 and self.s == 0.0 and abs(self.u) < abs(self.v):
             return (math.acos(-self.u / self.v),)
         return ()
+
+
+def stack(bands: Sequence[CosBand]) -> CosBand:
+    """The bands as one, whose root evaluates band r on row r of a (rows, n) k:
+    a coefficient every band shares stays a float, the others are (rows, 1)
+    columns."""
+    return CosBand(*(c[0] if c.count(c[0]) == len(c) else np.array(c)[:, None]
+                     for c in zip(*bands)))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .band import CosBand
+from .band import CosBand, stack
 from .quadrature import Integral, QuadratureSpec, integrate
 from .types import (
     CRITICAL,
@@ -110,16 +110,30 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
     |delta| < 2|j| that is the kink of Omega_k = |eps_k| at
     k* = arccos(delta/(2j)), and near it the rounded kink.
     """
-    window = _instability_window(p)
-    if window is not None:
+    (value,), (error,), nodes = _energies([(p.j, p.delta, p.d2)], quad)
+    if value is None:
+        window = _instability_window(p)
         raise UnstablePhaseError(
             f"unstable window k in [{window[0]:.6f}, {window[1]:.6f}]",
             unstable_k=window,
         )
-    band = dopo_band(p)
-    raw = integrate(band.root, 0.0, math.pi, quad, breaks=(math.acos(band.argmin()),))
+    return Integral(value, error, nodes)
+
+
+def _energies(networks, quad: QuadratureSpec) -> Integral:
+    """dopo_energy_density of each (j, delta, d2) network, one quadrature row
+    each: value and error are tuples over the networks, None for an unstable
+    one (by dopo_gap's rule), and nodes their sum."""
+    bands = [CosBand(delta, -2.0 * j, s=d2) for j, delta, d2 in networks]
+    stable = [band.minimum() >= -STABILITY_TOL for band in bands]
+    rows = [band for band, ok in zip(bands, stable) if ok]
+    raw = integrate(stack(rows).root, 0.0, math.pi, quad,
+                    [(math.acos(band.argmin()),) for band in rows]) if rows else Integral((), (), 0)
     scale = 1.0 / (2.0 * math.pi)
-    return Integral(raw.value * scale - 0.5 * p.delta, raw.error * scale, raw.nodes)
+    values, errors = iter(raw.value), iter(raw.error)   # a band's u is its delta
+    return Integral(tuple(next(values) * scale - 0.5 * band.u if ok else None
+                          for band, ok in zip(bands, stable)),
+                    tuple(next(errors) * scale if ok else None for ok in stable), raw.nodes)
 
 
 class SqueezingParams(NamedTuple):

@@ -43,12 +43,16 @@ def map_xy_to_dopo(p: XYParams) -> DopoParams:
             "jx*jy = 0: the map is singular; approach the Ising limit with a "
             "small second coupling (e.g. jy = 0.01) instead"
         )
+    return DopoParams(*_network(p, p.h))
+
+
+def _network(p: XYParams, h: float) -> tuple[float, float, float]:
+    """(j, delta, d2) of the network that chain p maps to at field h; jx*jy > 0."""
+    prod = p.jx * p.jy
     root = math.sqrt(prod)
-    return DopoParams(
-        j=2.0 * root,
-        delta=0.0 - p.h * p.js / root,  # 0.0 - x and x + 0.0: an unsigned zero
-        d2=p.jd ** 2 * (p.h ** 2 / prod - 4.0) + 0.0,
-    )
+    return (2.0 * root,
+            0.0 - h * p.js / root,  # 0.0 - x and x + 0.0: an unsigned zero
+            p.jd ** 2 * (h ** 2 / prod - 4.0) + 0.0)
 
 
 def map_dopo_to_xy(d: DopoParams, h: float) -> XYParams | None:

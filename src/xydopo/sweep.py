@@ -34,14 +34,14 @@ import numpy as np
 
 from . import __version__
 from .dopo import (
+    _energies as _dopo_energies,
     dopo_classify_phase,
     dopo_critical_detuning,
-    dopo_energy_density,
     dopo_gap,
     dopo_threshold_detunings,
 )
 from .ed import ed_vs_analytic
-from .mapping import map_dopo_to_xy, map_energy_density, map_xy_to_dopo, verify_spectral_match
+from .mapping import _network, map_dopo_to_xy, map_energy_density, map_xy_to_dopo, verify_spectral_match
 from .quadrature import QuadratureSpec
 from .types import (
     ANTIPERIODIC,
@@ -53,12 +53,12 @@ from .types import (
     SUPERRADIANT,
     DopoParams,
     SweepRecord,
-    UnstablePhaseError,
     XYParams,
     build_grid,
 )
 from .xy import (
     _critical_fields,
+    _energies as _xy_energies,
     _stencil,
     require_chi_tolerance,
     xy_critical_fields,
@@ -68,7 +68,7 @@ from .xy import (
     xy_phase,
 )
 # unused here, but bench/tracing.py wraps these names on this module by getattr
-from .dopo import dopo_omega_squared  # noqa: F401
+from .dopo import dopo_energy_density, dopo_omega_squared  # noqa: F401
 from .ed import ed_ground_state  # noqa: F401
 from .xy import xy_magnetization, xy_susceptibility  # noqa: F401
 
@@ -232,20 +232,21 @@ def config_from_dict(raw: dict) -> SweepConfig:
 
 def _point_model(cfg: SweepConfig, c: float):
     """What the evaluator takes from cfg's model at control c: the energy
-    density as a function of the control, the phase and the gap (both
-    deferred until asked for), and the record's axes (h and/or delta)."""
+    densities at a list of controls, computed in one call (None for an
+    unstable network), the phase and the gap (both deferred until asked for),
+    and the record's axes (h and/or delta)."""
     quad = cfg.quad
     if cfg.model == "xy":
         p = cfg.params.with_h(c)
-        return (lambda x: xy_energy_density(p.with_h(x), quad).value,
+        return (lambda xs: _xy_energies(p, xs, quad).value,
                 lambda: xy_phase(p), lambda: xy_gap(p), {"h": c})
     if cfg.model == "dopo":
         p = cfg.params.with_delta(c)
-        return (lambda x: dopo_energy_density(p.with_delta(x), quad).value,
+        return (lambda xs: _dopo_energies([(p.j, x, p.d2) for x in xs], quad).value,
                 lambda: dopo_classify_phase(p), lambda: dopo_gap(p), {"delta": c})
     p = cfg.params.with_h(c)
     network = map_xy_to_dopo(p)
-    return (lambda x: dopo_energy_density(map_xy_to_dopo(p.with_h(x)), quad).value,
+    return (lambda xs: _dopo_energies([_network(p, x) for x in xs], quad).value,
             lambda: _PHASE_TRANSLATION[xy_phase(p)], lambda: dopo_gap(network),
             {"h": c, "delta": network.delta})
 
@@ -255,15 +256,8 @@ def _evaluate_point(cfg: SweepConfig, c: float, critical: tuple[float, ...],
     """One record from xy._stencil at c; critical lists the sweep's critical
     controls, nearest_critical flags this point."""
     wants = set(cfg.outputs)
-    energy, phase, gap, axes = _point_model(cfg, c)
-
-    def stable_energy(x: float) -> float | None:
-        try:
-            return energy(x)
-        except UnstablePhaseError:
-            return None  # an unstable network has no ground-state energy
-
-    e_g, m_z, chi, straddles = _stencil(stable_energy, c, cfg.dh, wants, critical)
+    energies, phase, gap, axes = _point_model(cfg, c)
+    e_g, m_z, chi, straddles = _stencil(energies, c, cfg.dh, wants, critical)
     flags = ["critical"] if nearest_critical else []
     if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
         flags.append("unstable-step")

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .band import CosBand
+from .band import CosBand, stack
 from .quadrature import Integral, QuadratureSpec, integrate
 from .types import (
     ANTIPERIODIC,
@@ -85,10 +85,20 @@ def xy_energy_density(p: XYParams, quad: QuadratureSpec = QuadratureSpec()) -> I
     lies inside (0, pi): for an isotropic chain in its gapless window that is
     the kink at k* = arccos(-h/(2*j)), and near it the rounded kink.
     """
-    band = xy_band(p)
-    raw = integrate(band.root, 0.0, math.pi, quad, breaks=(math.acos(band.argmin()),))
+    (value,), (error,), nodes = _energies(p, (p.h,), quad)
+    return Integral(value, error, nodes)
+
+
+def _energies(p: XYParams, fields, quad: QuadratureSpec) -> Integral:
+    """xy_energy_density of the chain p at each field, one quadrature row
+    each: value and error are tuples over the fields, nodes their sum."""
+    _, v, w, s = xy_band(p)
+    bands = [CosBand(2.0 * h, v, w, s) for h in fields]
+    raw = integrate(stack(bands).root, 0.0, math.pi, quad,
+                    [(math.acos(band.argmin()),) for band in bands])
     scale = 1.0 / (2.0 * math.pi)
-    return Integral(0.0 - raw.value * scale, raw.error * scale, raw.nodes)  # no -0
+    return Integral(tuple(0.0 - e * scale for e in raw.value),  # no -0
+                    tuple(e * scale for e in raw.error), raw.nodes)
 
 
 class FieldDerivative(NamedTuple):
@@ -96,17 +106,21 @@ class FieldDerivative(NamedTuple):
     straddles_critical: bool   # the step window [h-dh, h+dh] contains a critical field
 
 
-def _stencil(energy, x: float, dh: float, columns, critical):
+def _stencil(energies, x: float, dh: float, columns, critical):
     """(e_g, m_z, chi, straddles) of an energy function e at x: e(x), the quotients
     (e(x-dh) - e(x+dh))/(2 dh) and (2 e(x) - e(x+dh) - e(x-dh))/dh^2, each None
     unless columns requests it, and whether m_z or chi is requested with |x - c| < dh
-    for a critical control c. Each e is computed at most once, for a requested column
-    only; a None e (an unstable network) makes each column that reads it None."""
+    for a critical control c. energies maps a list of controls to their e in one
+    call, made only for the controls a requested column reads; a None e (an
+    unstable network) makes each column that reads it None."""
     if not dh > 0:
         raise ValueError("dh must be positive")
     derivatives = not columns.isdisjoint(("m_z", "chi"))
-    mid = energy(x) if not columns.isdisjoint(("e_g", "chi")) else None
-    lo, hi = (energy(x - dh), energy(x + dh)) if derivatives else (None, None)
+    middle = not columns.isdisjoint(("e_g", "chi"))
+    xs = [x] * middle + [x - dh, x + dh] * derivatives
+    es = list(energies(xs)) if xs else []
+    mid = es.pop(0) if middle else None
+    lo, hi = es if derivatives else (None, None)
     m_z = (lo - hi) / (2.0 * dh) if "m_z" in columns and None not in (lo, hi) else None
     chi = (2.0 * mid - hi - lo) / (dh * dh) if "chi" in columns and None not in (lo, mid, hi) else None
     return (mid if "e_g" in columns else None, m_z, chi,
@@ -119,7 +133,7 @@ def _critical_fields(p: XYParams) -> tuple[float, ...]:
 
 
 def _chain_derivative(p: XYParams, quad: QuadratureSpec, dh: float, column: str) -> FieldDerivative:
-    _, m_z, chi, straddles = _stencil(lambda h: xy_energy_density(p.with_h(h), quad).value,
+    _, m_z, chi, straddles = _stencil(lambda hs: _energies(p, hs, quad).value,
                                       p.h, dh, {column}, _critical_fields(p))
     return FieldDerivative(m_z if column == "m_z" else chi, straddles)
 

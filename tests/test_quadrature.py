@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xydopo import quadrature
+from xydopo.band import CosBand, stack
 from xydopo.quadrature import Integral, QuadratureSpec, integrate
 from xydopo.sweep import preset_config, run_sweep, write_csv
 from xydopo.types import NumericalError
@@ -186,3 +187,68 @@ def test_preset_bytes_do_not_depend_on_the_cache_state():
     preset_csv("fig2-tfi")
     assert quadrature._table.cache_info().hits > 0
     assert preset_csv("fig2-aniso") == cold
+
+
+# --- rows: one integrand call per level for several integrals ----------------
+
+def _chain_band(jx, jy, h):
+    return CosBand(2.0 * h, 2.0 * (jx + jy), 4.0 * (jx - jy) ** 2)
+
+
+def _alone_and_as_rows(bands, spec):
+    breaks = [(math.acos(band.argmin()),) for band in bands]
+    alone = [integrate(band.root, 0.0, math.pi, spec, row) for band, row in zip(bands, breaks)]
+    return alone, integrate(stack(bands).root, 0.0, math.pi, spec, breaks)
+
+
+def test_rows_equal_their_calls_alone_to_the_bit():
+    # a 2-piece row at level 4, a 2-piece row that needs level 5, and a row
+    # whose break (its band minimum) lies at the interval end pi, so that it has
+    # one piece: each row's value, error and nodes are its own call's, bit for bit
+    spec = QuadratureSpec()
+    bands = [_chain_band(1.0, 0.9, 0.5), _chain_band(1.0, 0.99, 1.0), _chain_band(1.0, 0.9, 2.5)]
+    alone, rows = _alone_and_as_rows(bands, spec)
+    assert [r.nodes for r in alone] == [226, 450, 113]
+    assert math.acos(bands[2].argmin()) == math.pi
+    assert rows.value == tuple(r.value for r in alone)
+    assert rows.error == tuple(r.error for r in alone)
+    assert rows.nodes == sum(r.nodes for r in alone) == 789
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 2, 0)])
+def test_rows_of_many_pieces_equal_their_calls_alone(order):
+    # rows of 2, 5 and 3 pieces, in any order: each is reduced over its own
+    # pieces only, so the padding of the narrower rows changes no bit
+    eps = np.array([1e-2, 1e-4, 1e-3])[list(order)]
+    cuts = [(np.pi / 2,), (0.5, 1.0, np.pi / 2, 2.0), (np.pi / 2, 2.5, 0.0)]
+    cuts = [cuts[i] for i in order]
+    spec = QuadratureSpec(tol=1e-12)
+    alone = [integrate(lambda k, e=e: np.sqrt(np.cos(k) ** 2 + e), 0.0, np.pi, spec, c)
+             for e, c in zip(eps, cuts)]
+    rows = integrate(lambda k: np.sqrt(np.cos(k) ** 2 + eps[:, None]), 0.0, np.pi, spec, cuts)
+    assert rows == (tuple(r.value for r in alone), tuple(r.error for r in alone),
+                    sum(r.nodes for r in alone))
+
+
+def test_a_row_out_of_budget_raises_its_own_achieved_error():
+    # the kinked row without its break runs out of a budget that holds the
+    # smooth rows; the call raises what that row raises alone
+    spec = QuadratureSpec(tol=1e-14, max_nodes=256)
+    with pytest.raises(NumericalError) as alone:
+        integrate(_kinked, 0.0, 1.8, spec)
+    smooth = QuadratureSpec(tol=1e-14)
+    assert integrate(np.sin, 0.0, 1.8, smooth).nodes <= 256
+    rows = lambda k: np.where(np.arange(3)[:, None] == 1, _kinked(k), np.sin(k))
+    with pytest.raises(NumericalError) as together:
+        integrate(rows, 0.0, 1.8, spec, [(), (), ()])
+    assert together.value.achieved == alone.value.achieved > 1e-14
+    assert str(together.value) == str(alone.value)
+
+
+def test_one_row_is_the_scalar_call():
+    # a list holding one row of breaks gives the scalar call's numbers as tuples
+    spec = QuadratureSpec()
+    plain = integrate(_kinked, 0.0, 1.8, spec, (np.pi / 2,))
+    assert integrate(_kinked, 0.0, 1.8, spec, [(np.pi / 2,)]) == \
+        ((plain.value,), (plain.error,), plain.nodes)
+    assert integrate(_kinked, 0.0, 1.8, spec, [np.array(np.pi / 2)]) == plain  # a 0-d break

@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xydopo.dopo import dopo_squeezing
+from xydopo.dopo import dopo_energy_density, dopo_squeezing
+from xydopo.mapping import map_xy_to_dopo
 from xydopo.quadrature import QuadratureSpec
 from xydopo.sweep import (
     CSV_HEADER,
@@ -31,9 +32,10 @@ from xydopo.types import (
     SUPERRADIANT,
     DopoParams,
     NumericalError,
+    UnstablePhaseError,
     XYParams,
 )
-from xydopo.xy import xy_energy_density, xy_magnetization, xy_susceptibility
+from xydopo.xy import _stencil, xy_energy_density, xy_magnetization, xy_susceptibility
 
 
 def small_xy_config(**kw):
@@ -266,22 +268,25 @@ def test_each_stencil_energy_computed_once(monkeypatch, raw):
     import xydopo.sweep
     import xydopo.xy
 
-    # count at the sweep's lookup names and at the defining modules' names,
-    # which the chain derivatives in xydopo.xy go through
-    calls = []
-    for module, name in ((xydopo.sweep, "xy_energy_density"), (xydopo.xy, "xy_energy_density"),
-                         (xydopo.sweep, "dopo_energy_density"),
-                         (xydopo.dopo, "dopo_energy_density")):
-        def counted(*args, _original=getattr(module, name), **kwargs):
-            calls.append(args[0])
-            return _original(*args, **kwargs)
+    # count the energies, the rows of each energies call, at the sweep's lookup
+    # names and at the defining modules' names, which the chain derivatives in
+    # xydopo.xy go through; the chain's controls are its second argument, the
+    # network's (j, delta, d2) rows its first
+    rows = []
+    for module, name, at in ((xydopo.sweep, "_xy_energies", 1), (xydopo.xy, "_energies", 1),
+                             (xydopo.sweep, "_dopo_energies", 0), (xydopo.dopo, "_energies", 0)):
+        def counted(*args, _original=getattr(module, name), _at=at):
+            args = list(args)
+            args[_at] = list(args[_at])
+            rows.append(len(args[_at]))
+            return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
     cfg = config_from_dict(dict(raw, steps=7, outputs="e_g,m_z,chi,phase,gap"))
     per_record = []
     for _ in run_sweep(cfg):
-        per_record.append(len(calls))
-        calls.clear()
+        per_record.append(sum(rows))
+        rows.clear()
     assert len(per_record) == 7 and sum(per_record) > 0
     assert max(per_record) <= 3, per_record
 
@@ -300,6 +305,36 @@ def test_chain_derivative_columns_match_the_public_functions():
                     != (m_z.value, chi.value, m_z.straddles_critical):
                 mismatches.append((name, r.h))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("cfg", [
+    preset_config("fig3-left", steps=41, outputs="e_g,m_z,chi,phase,gap"),
+    preset_config("fig3-right", steps=41, outputs="e_g,m_z,chi,phase,gap"),
+    config_from_dict(dict(model="dopo", j=2.0, d2=1.0, start=-8.0, stop=8.0, steps=41,
+                          outputs="e_g,m_z,chi,phase,gap")),
+], ids=["fig3-left", "fig3-right", "dopo-unstable-window"])
+def test_network_columns_match_the_public_functions(cfg):
+    # the sweep's network energies must be the public scalar dopo_energy_density
+    # of each point's network, and its m_z and chi the stencil over that scalar
+    # energy, to the last bit; an unstable network keeps None and unstable-step
+    def energy(x):
+        network = (cfg.params.with_delta(x) if cfg.model == "dopo"
+                   else map_xy_to_dopo(cfg.params.with_h(x)))
+        try:
+            return dopo_energy_density(network, cfg.quad).value
+        except UnstablePhaseError:
+            return None
+
+    mismatches, unstable = [], 0
+    for r in run_sweep(cfg):
+        _, m_z, chi, _ = _stencil(lambda xs: [energy(x) for x in xs], r.control, cfg.dh,
+                                  {"m_z", "chi"}, ())
+        unstable += r.e_g is None
+        if (r.e_g, r.m_z, r.chi, "unstable-step" in r.flags.split(";")) \
+                != (energy(r.control), m_z, chi, None in (m_z, chi)):
+            mismatches.append(r.control)
+    assert mismatches == []
+    assert (unstable > 0) == (cfg.model == "dopo")   # unstable for -5 < delta < 5
 
 
 def test_workers_do_not_change_output():
