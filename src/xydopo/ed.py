@@ -14,7 +14,8 @@ A pair flip keeps the parity prod_i sz_i (Lieb, Schultz & Mattis 1961), so
 each parity sector is a closed block of 2^(n-1) states, solved on its own and
 merged afterwards. _rows (couplings-free) and _block (the amplitudes above)
 are the one statement of H's rows for every block. Each block is built once,
-as a sparse matrix. The dense method diagonalizes every block as a full matrix
+as the solver that takes it reads it: a dense array for LAPACK, a CSR matrix
+for ARPACK. The dense method diagonalizes every block as a full matrix
 (about 33 MB per block at n = 12, the dense limit) and is the reference. The
 Lanczos method does the same for blocks of at most 128 states (n <= 8), where
 that is faster, and runs ARPACK's implicitly restarted Lanczos (scipy's eigsh)
@@ -26,7 +27,8 @@ ed_vs_analytic, and through it validate's ED table, finds one level per sector
 on a block about 2n times smaller (see its docstring): 1,162 and 1,088 states
 against 32,768 at n = 16, 0.015 s against 0.24 s. That block's couplings-free
 structure is built once per (n, parity) and cached, 13.0 MB for every even n
-to 20 and 0.9 MB to n = 16. scipy is imported only when a block is built.
+to 20 and 0.9 MB to n = 16. scipy is imported only when a block is solved,
+and scipy.sparse only for an ARPACK block.
 """
 
 from __future__ import annotations
@@ -75,21 +77,25 @@ def _rows(n: int, states: np.ndarray, shift: int):
     return np.stack(cols, axis=1), np.stack(aligned, axis=1), n - 2.0 * np.bitwise_count(states)
 
 
-def _block(cols, aligned, sz, a: float, b: float, h: float, weight=1.0):
-    """The rows from _rows as a CSR matrix, for couplings (a, b) = (jx, jy) or a sign
-    frame of them: -h sum_i sz_i on the diagonal, b - a on an aligned pair and -(a + b)
-    on an anti-aligned one, times the bond's weight. Entries of a row that share a column
-    stand for their sum, as toarray and the sparse product both read them (at n = 2)."""
+def _block(cols, aligned, sz, a: float, b: float, h: float, weight=1.0, dense=False):
+    """The rows from _rows as a CSR matrix, or an array if dense, for couplings (a, b) =
+    (jx, jy) or a sign frame of them: -h sum_i sz_i on the diagonal, b - a on an aligned
+    pair and -(a + b) on an anti-aligned one, times the bond's weight. Entries of a row that
+    share a column add up (at n = 2), in CSR toarray's order when dense: the same bits."""
+    amps = np.column_stack([-h * sz, np.where(aligned, b - a, -(a + b)) * weight])
+    dim = len(cols)
+    if dense:  # bincount adds the weights of each row-major flat index in order
+        flat = cols + np.arange(0, dim * dim, dim)[:, None]
+        return np.bincount(flat.ravel(), amps.ravel(), dim * dim).reshape(dim, dim)
     import scipy.sparse
 
-    amps = np.column_stack([-h * sz, np.where(aligned, b - a, -(a + b)) * weight])
     indptr = np.arange(0, amps.size + 1, amps.shape[1])
-    return scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(len(cols),) * 2)
+    return scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(dim, dim))
 
 
 def spin_hamiltonian_dense(p: XYParams, n: int) -> np.ndarray:
     """Full 2^n x 2^n real symmetric Hamiltonian matrix."""
-    return _block(*_rows(n, np.arange(1 << n, dtype=np.int64), 0), p.jx, p.jy, p.h).toarray()
+    return _block(*_rows(n, np.arange(1 << n, dtype=np.int64), 0), p.jx, p.jy, p.h, dense=True)
 
 
 def _sector_states(n: int, odd: int) -> np.ndarray:
@@ -99,17 +105,16 @@ def _sector_states(n: int, odd: int) -> np.ndarray:
     return (upper << 1) | ((np.bitwise_count(upper) & 1) ^ odd)
 
 
-def _lowest(ham, dense: bool, k: int, p: XYParams, n: int, odd: int):
-    """The lowest levels and vectors of a CSR block of sector odd of (p, n): up
-    to k by LAPACK if dense or for at most 128 states, else min(k, 2) by ARPACK."""
+def _lowest(ham, k: int, p: XYParams, n: int, odd: int):
+    """The lowest levels and vectors of a block of sector odd of (p, n): up to k
+    by LAPACK for a dense array, else min(k, 2) by ARPACK on the CSR matrix."""
     dim = ham.shape[0]
-    if dense or dim <= _DENSE_BLOCK_MAX:
+    if isinstance(ham, np.ndarray):
         import scipy.linalg
 
         # the block is symmetric, so its transpose is the same matrix in the
         # Fortran order that LAPACK can overwrite without taking a copy
-        return scipy.linalg.eigh(ham.toarray().T, overwrite_a=True,
-                                 subset_by_index=(0, min(k, dim) - 1))
+        return scipy.linalg.eigh(ham.T, overwrite_a=True, subset_by_index=(0, min(k, dim) - 1))
     import scipy.sparse.linalg
 
     v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
@@ -135,7 +140,8 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
         sz = sz[np.argsort(-p.h * sz)]
         return -p.h * sz, sz
     cols, aligned, sz = _rows(n, _sector_states(n, odd), 1)
-    levels, vecs = _lowest(_block(cols, aligned, sz, p.jx, p.jy, p.h), method == DENSE,
+    dense = method == DENSE or len(cols) <= _DENSE_BLOCK_MAX
+    levels, vecs = _lowest(_block(cols, aligned, sz, p.jx, p.jy, p.h, dense=dense),
                            _DENSE_LEVELS, p, n, odd)
     return levels, (vecs * vecs).T @ sz
 
@@ -170,7 +176,8 @@ def _perron_level(p: XYParams, n: int, odd: int) -> float:
     if a < 0.0:
         a, b = -a, -b
     cols, aligned, weight, sz = _dihedral_block(n, odd)
-    return float(_lowest(_block(cols, aligned, sz, a, b, p.h, weight), False, 1, p, n, odd)[0][0])
+    ham = _block(cols, aligned, sz, a, b, p.h, weight, dense=len(cols) <= _DENSE_BLOCK_MAX)
+    return float(_lowest(ham, 1, p, n, odd)[0][0])
 
 
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:

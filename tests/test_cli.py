@@ -274,7 +274,7 @@ def test_validate_full_exit_zero(capsys):
 def test_validate_corrupted_build_exits_nonzero(capsys, monkeypatch):
     import xydopo.sweep as sweep_mod
 
-    monkeypatch.setattr(sweep_mod, "verify_spectral_match", lambda *a, **k: 1.0)
+    monkeypatch.setattr(sweep_mod, "_spectral_residuals", lambda chains, grid: [1.0] * len(chains))
     code, out, _ = run_cli(capsys, "validate", "--level", "quick")
     assert code == 1
     assert "FAIL" in out

@@ -40,7 +40,7 @@ def test_hamiltonian_is_exactly_symmetric():
 @pytest.mark.parametrize("point", [(1.0, 0.0, 0.5), (2.0, 1.0, 1.3), (0.7, 0.7, 0.0),
                                    (1.0, 1.0, 3.0), (0.0, 0.0, 0.0)])
 def test_hamiltonian_matches_scatter_construction(point):
-    # the CSR block written out dense, against np.add.at over the same rows,
+    # the dense block against np.add.at over the same rows,
     # bit for bit (at n = 2 both bonds add to one entry)
     p = XYParams(*point)
     for n in range(2, 9):
@@ -50,6 +50,33 @@ def test_hamiltonian_matches_scatter_construction(point):
         want = np.zeros((dim, dim))
         np.add.at(want, (np.arange(dim)[:, None], cols), amps)
         assert spin_hamiltonian_dense(p, n).tobytes() == want.tobytes(), n
+
+
+def _dense_equals_csr(rows, rng, weight=1.0):
+    # random couplings of either sign, their sign frame (every pair-flip amplitude
+    # <= 0) and the special values: a zero field (signed zeros on the diagonal),
+    # jx = jy (aligned amplitude 0) and jx = -jy (anti-aligned amplitude 0)
+    jx, jy, h = rng.uniform(-2.5, 2.5, size=3)
+    a, b = (jx, jy) if abs(jx) >= abs(jy) else (jy, jx)
+    a, b = (-a, -b) if a < 0.0 else (a, b)
+    for couplings in ((jx, jy, h), (a, b, h), (1.0, 1.0, 0.0), (1.0, -1.0, 0.6), (0.0, 1.0, -0.0)):
+        dense = _block(*rows, *couplings, weight, dense=True)
+        assert isinstance(dense, np.ndarray), couplings
+        assert dense.tobytes() == _block(*rows, *couplings, weight).toarray().tobytes(), couplings
+
+
+def test_dense_assembly_equals_csr_toarray():
+    # every block the dense solver sees is assembled dense, without a CSR matrix;
+    # at n = 2 both bonds flip one pair, so a row repeats a column
+    rng = np.random.default_rng(28)
+    for n in range(2, 13):
+        for odd in (0, 1):
+            _dense_equals_csr(_rows(n, _sector_states(n, odd), 1), rng)
+            if n % 2 == 0:
+                cols, aligned, weight, sz = _dihedral_block(n, odd)
+                _dense_equals_csr((cols, aligned, sz), rng, weight)
+        if n <= 10:
+            _dense_equals_csr(_rows(n, np.arange(1 << n, dtype=np.int64), 0), rng)
 
 
 def test_free_spins_align_with_field():
@@ -250,7 +277,7 @@ def test_perron_block_holds_each_sector_ground_level(monkeypatch):
     blocks = []
 
     def spy(ham, *args):
-        blocks.append(ham.toarray())
+        blocks.append(ham.copy())  # dense, and LAPACK may overwrite ham
         return _lowest(ham, *args)
 
     monkeypatch.setattr(xydopo.ed, "_lowest", spy)
@@ -396,6 +423,19 @@ def test_import_loads_no_scipy():
     code = "import sys, xydopo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def test_validate_full_loads_no_scipy_sparse():
+    # every block of validate's ED table has at most 122 states, so each is
+    # assembled dense and solved by LAPACK; scipy.sparse is for ARPACK only
+    src = os.path.dirname(os.path.dirname(xydopo.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys; from xydopo.sweep import run_validate; assert run_validate('full').passed; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
 

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from xydopo.dopo import dopo_band, dopo_critical_detuning, dopo_gap
+from xydopo.dopo import dopo_band, dopo_critical_detuning, dopo_gap, dopo_omega_squared
 from xydopo.mapping import (
+    _spectral_residuals,
     map_dopo_to_xy,
     map_energy_density,
     map_xy_to_dopo,
     verify_spectral_match,
 )
 from xydopo.types import DopoParams, SingularMapError, XYParams, build_grid
-from xydopo.xy import xy_band, xy_critical_fields, xy_gap
+from xydopo.xy import xy_band, xy_critical_fields, xy_dispersion, xy_gap
 
 
 def test_forward_map_anisotropic():
@@ -133,6 +134,26 @@ def test_inverse_keeps_a_pair_only_if_it_maps_back():
 def test_spectral_match_examples(jx, jy, h):
     residual = verify_spectral_match(XYParams(jx, jy, h), build_grid(128))
     assert residual < 1e-10
+
+
+def test_spectral_rows_equal_one_chain_calls():
+    # validate's 209 chains in one (rows, n) pass, each row bit for bit the
+    # one-chain residual that verify_spectral_match computed on its own
+    from xydopo.sweep import _random_xy
+
+    def one_chain(p, grid):
+        e_sq = np.asarray(xy_dispersion(p, grid.points)) ** 2
+        om_sq = np.asarray(dopo_omega_squared(map_xy_to_dopo(p), grid.points))
+        return float(np.max(np.abs(e_sq - om_sq)))
+
+    grid = build_grid(128)
+    chains = [XYParams(jx, jy, h) for jx, jy in ((2.0, 1.0), (1.0, 1.0), (1.0, 0.01))
+              for h in (0.5, 1.7, 3.3)] + _random_xy(1234, 200, 1e-3, -6.0, 6.0)
+    rows = _spectral_residuals(chains, grid)
+    assert rows.shape == (209,)
+    for p, row in zip(chains, rows.tolist()):
+        assert row == one_chain(p, grid), p
+        assert verify_spectral_match(p, grid) == row, p
 
 
 def _mapped_chains():

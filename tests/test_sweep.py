@@ -454,6 +454,21 @@ def test_validate_quick_passes():
     assert len(report.checks) >= 5
 
 
+@pytest.mark.parametrize("args", [(1234, 200, 1e-3, -6.0, 6.0), (99, 100, 1e-2, 0.2, 6.0)])
+def test_random_chains_keep_the_sequential_draw_stream(args):
+    # validate's random chains come from one draw, which must be the stream a
+    # chain-by-chain draw gives: jx and jy, then h, bit for bit
+    from xydopo.sweep import _random_xy
+
+    seed, count, j_low, h_low, h_high = args
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(count):
+        jx, jy = rng.uniform(j_low, 4.0, size=2)
+        want.append(XYParams(jx, jy, rng.uniform(h_low, h_high)))
+    assert list(_random_xy(*args)) == want
+
+
 def test_validate_rejects_unknown_level():
     with pytest.raises(ConfigError):
         run_validate("paranoid")
@@ -462,7 +477,7 @@ def test_validate_rejects_unknown_level():
 def test_validate_detects_corruption(monkeypatch):
     import xydopo.sweep as sweep_mod
 
-    monkeypatch.setattr(sweep_mod, "verify_spectral_match", lambda *a, **k: 1.0)
+    monkeypatch.setattr(sweep_mod, "_spectral_residuals", lambda chains, grid: [1.0] * len(chains))
     report = run_validate("quick")
     assert not report.passed
     failed = [c for c in report.checks if not c.passed]
