@@ -46,7 +46,8 @@ def dopo_epsilon(p: DopoParams, k):
 
 
 def dopo_omega_squared(p: DopoParams, k):
-    """Signed squared quasiparticle energy eps_k^2 - d2 (negative = unstable mode)."""
+    """Signed squared quasiparticle energy eps_k^2 - d2 (negative = unstable mode),
+    vectorized over k, and over rows if j, delta, d2 are (rows, 1) columns."""
     eps = np.asarray(dopo_epsilon(p, k))
     val = eps * eps - p.d2
     return val if val.ndim else float(val)
@@ -87,16 +88,14 @@ def dopo_gap(p: DopoParams) -> float | None:
     return math.sqrt(max(min_omsq, 0.0)) if min_omsq >= -STABILITY_TOL else None
 
 
-def _instability_window(p: DopoParams) -> tuple[float, float] | None:
-    """k-interval in [0, pi] where Omega_k^2 < 0, or None when stable."""
-    if dopo_gap(p) is not None:
-        return None
+def _instability_window(p: DopoParams) -> tuple[float, float]:
+    """k-interval in [0, pi] where Omega_k^2 < 0, for a network dopo_gap finds unstable."""
     if p.j == 0.0:
         return (0.0, math.pi)  # a flat band: every mode is unstable
     drive = math.sqrt(p.d2)  # the minimum is at least -d2, so d2 > 0 here
-    # |eps_k| < drive  <=>  cos k in ((delta-drive)/(2j), (delta+drive)/(2j))
-    lo, hi = sorted(((p.delta - drive) / (2.0 * p.j), (p.delta + drive) / (2.0 * p.j)))
-    lo, hi = max(lo, -1.0), min(hi, 1.0)
+    # |eps_k| < drive  <=>  cos k in ((delta-drive)/(2j), (delta+drive)/(2j)), clipped to [-1, 1]
+    lo, hi = (min(max(c, -1.0), 1.0) for c in
+              sorted(((p.delta - drive) / (2.0 * p.j), (p.delta + drive) / (2.0 * p.j))))
     return (math.acos(hi), math.acos(lo))  # arccos reverses order
 
 
@@ -112,11 +111,8 @@ def dopo_energy_density(p: DopoParams, quad: QuadratureSpec = QuadratureSpec()) 
     """
     (value,), (error,), nodes = _energies([(p.j, p.delta, p.d2)], quad)
     if value is None:
-        window = _instability_window(p)
-        raise UnstablePhaseError(
-            f"unstable window k in [{window[0]:.6f}, {window[1]:.6f}]",
-            unstable_k=window,
-        )
+        lo, hi = _instability_window(p)
+        raise UnstablePhaseError(f"unstable window k in [{lo:.6f}, {hi:.6f}]", unstable_k=(lo, hi))
     return Integral(value, error, nodes)
 
 

@@ -18,6 +18,7 @@ differ by a known linear shift, checked numerically by map_energy_density.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,15 +35,11 @@ from .types import (
 
 
 def map_xy_to_dopo(p: XYParams) -> DopoParams:
-    """Forward map; requires jx*jy > 0 (the jy = 0 limit is singular)."""
-    prod = p.jx * p.jy
-    if prod < 0.0:
-        raise ValueError(f"jx*jy must be positive, got jx={p.jx}, jy={p.jy}")
-    if prod == 0.0:
+    """Forward map; SingularMapError unless jx*jy > 0 (the jy = 0 limit is singular)."""
+    if not p.jx * p.jy > 0.0:
         raise SingularMapError(
-            "jx*jy = 0: the map is singular; approach the Ising limit with a "
-            "small second coupling (e.g. jy = 0.01) instead"
-        )
+            f"the map needs jx*jy > 0, got jx={p.jx}, jy={p.jy}; approach the Ising limit with jy/jx "
+            "above about 1e-6 for any mapped sweep, and about 1e-4 where chi matters")
     return DopoParams(*_network(p, p.h))
 
 
@@ -93,15 +90,15 @@ def verify_spectral_match(p: XYParams, grid: MomentumGrid) -> float:
 
 
 def _spectral_residuals(chains, grid: MomentumGrid) -> np.ndarray:
-    """verify_spectral_match of each chain, in one (rows, n) pass of xy_dispersion's
-    and dopo_omega_squared's elementwise formulas: each row has a call's own bits."""
+    """verify_spectral_match of each chain, in one (rows, n) pass: xy_dispersion
+    and dopo_omega_squared each take every chain's or network's coefficients as
+    (rows, 1) columns, so each row has a call's own bits."""
     table = np.array([(p.h, p.js, p.jd, d.j, d.delta, d.d2)
                       for p, d in ((p, map_xy_to_dopo(p)) for p in chains)])
-    h, js, jd, j, delta, d2 = table.T[:, :, None]  # (rows, 1) columns
-    c, s = np.cos(grid.points), np.sin(grid.points)
-    e_sq = (2.0 * np.sqrt((h + js * c) ** 2 + (jd * s) ** 2)) ** 2
-    eps = delta - 2.0 * j * c
-    return np.max(np.abs(e_sq - (eps * eps - d2)), axis=1)
+    h, js, jd, j, delta, d2 = table.T[:, :, None]
+    e_k = xy.xy_dispersion(SimpleNamespace(h=h, js=js, jd=jd), grid.points)
+    omega_sq = dopo.dopo_omega_squared(SimpleNamespace(j=j, delta=delta, d2=d2), grid.points)
+    return np.max(np.abs(e_k ** 2 - omega_sq), axis=1)
 
 
 class MapEnergyReport(NamedTuple):

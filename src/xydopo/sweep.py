@@ -52,6 +52,7 @@ from .types import (
     PARAMAGNETIC,
     SUPERRADIANT,
     DopoParams,
+    SingularMapError,
     SweepRecord,
     XYParams,
     build_grid,
@@ -122,11 +123,13 @@ class SweepConfig:
             problems.append(f"params: {_MODEL_TABLE[self.model][1]} required for {self.model!r}")
         if isinstance(self.params, XYParams) and (self.params.jx < 0 or self.params.jy < 0):
             problems.append("params: couplings must be non-negative for sweeps")
+        elif self.model == "mapped" and isinstance(self.params, XYParams):
+            try:
+                map_xy_to_dopo(self.params)
+            except SingularMapError as exc:
+                problems.append(f"params: {exc}")
         if isinstance(self.params, DopoParams) and not self.params.is_physical:
             problems.append(f"d2: must be >= 0 (a real drive amplitude), got {self.params.d2}")
-        if self.model == "mapped" and isinstance(self.params, XYParams) \
-                and self.params.jx * self.params.jy == 0.0:
-            problems.append("params: mapped sweeps need jx*jy > 0 (use a small jy for the Ising limit)")
         if self.steps < 2:
             problems.append(f"steps: must be >= 2, got {self.steps}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
@@ -343,18 +346,18 @@ def run_critical(params: XYParams | DopoParams) -> dict:
         "model_case": crit.model_case,
         "critical_fields": [{"h_c": hc, "k_star": ks} for hc, ks in crit.values],
     }
-    if params.jx * params.jy > 0:
-        mapped_rows = []
-        for hc, _ in crit.values:
-            m = map_xy_to_dopo(params.with_h(hc))
-            row = {"h_c": hc, "delta_at_hc": m.delta, "physical": m.is_physical}
-            if m.is_physical:
-                # a negative mapped delta = -h (jx + jy) / sqrt(jx jy) reaches the
-                # lowest threshold, -2j - drive; a positive one the highest
-                row["delta_c"] = dopo_threshold_detunings(m)[-1 if m.delta > 0 else 0]
-                row["residual"] = m.delta - row["delta_c"]
-            mapped_rows.append(row)
-        report["mapped"] = mapped_rows
+    try:
+        networks = [(hc, map_xy_to_dopo(params.with_h(hc))) for hc, _ in crit.values]
+    except SingularMapError:  # no mapped rows where jx*jy <= 0
+        networks = []
+    for hc, m in networks:
+        row = {"h_c": hc, "delta_at_hc": m.delta, "physical": m.is_physical}
+        if m.is_physical:
+            # a negative mapped delta = -h (jx + jy) / sqrt(jx jy) reaches the
+            # lowest threshold, -2j - drive; a positive one the highest
+            row["delta_c"] = dopo_threshold_detunings(m)[-1 if m.delta > 0 else 0]
+            row["residual"] = m.delta - row["delta_c"]
+        report.setdefault("mapped", []).append(row)
     return report
 
 
@@ -464,7 +467,7 @@ def _critical_rows():
         p = XYParams(jx, jy, 0.0)
         got = sorted(v for v, _ in xy_critical_fields(p).values)
         yield ("critical fields {} of {}", got, p), 0.0 if got == [-hc, hc] else math.inf, 0.0
-        for row in run_critical(p).get("mapped", ()):  # no map when jx*jy = 0
+        for row in run_critical(p).get("mapped", ()):  # no map when jx*jy <= 0
             if row["physical"]:
                 yield ("transported h_c={:+g} of {}", row["h_c"], p), abs(row["residual"]), 1e-9
 

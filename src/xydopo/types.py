@@ -1,7 +1,7 @@
 """Shared domain types: model parameters, momentum grids, spectra, sweep records.
 
-All parameter objects are immutable value objects and safe to share between
-concurrent workers. Energies are dimensionless (reference coupling J0 = 1).
+All parameter objects are immutable value objects. Energies are dimensionless
+(reference coupling J0 = 1).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class UnsupportedParameterError(ValueError):
 
 
 class SingularMapError(ValueError):
-    """The chain-to-oscillator map is singular for these parameters (jx*jy = 0)."""
+    """The chain-to-oscillator map is undefined for these parameters (jx*jy <= 0)."""
 
 
 class NonphysicalDriveError(ValueError):
@@ -66,6 +66,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_finite_fields(params) -> None:
+    """Store each field of a frozen parameter dataclass as a finite float; its
+    __match_args__ names the fields without the tuple dataclasses.fields builds per call."""
+    for name in params.__match_args__:
+        object.__setattr__(params, name, _require_finite(name, getattr(params, name)))
+
+
 @dataclass(frozen=True)
 class XYParams:
     """Couplings and transverse field of the spin chain.
@@ -77,9 +84,7 @@ class XYParams:
     jy: float
     h: float
 
-    def __post_init__(self):
-        for name in ("jx", "jy", "h"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+    __post_init__ = _require_finite_fields
 
     @property
     def js(self) -> float:
@@ -105,9 +110,7 @@ class DopoParams:
     delta: float
     d2: float
 
-    def __post_init__(self):
-        for name in ("j", "delta", "d2"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+    __post_init__ = _require_finite_fields
 
     @property
     def is_physical(self) -> bool:

@@ -43,7 +43,7 @@ TFI = "tfi"
 
 
 def xy_dispersion(p: XYParams, k):
-    """E_k, vectorized over k; non-negative and even in k."""
+    """E_k >= 0, even in k; vectorized over k, and over rows if h, js, jd are (rows, 1) columns."""
     k = np.asarray(k, dtype=float)
     val = 2.0 * np.sqrt((p.h + p.js * np.cos(k)) ** 2 + (p.jd * np.sin(k)) ** 2)
     return val if val.ndim else float(val)

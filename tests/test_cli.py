@@ -195,9 +195,12 @@ _XY = {"model": "xy", "jx": 1.0, "jy": 0.0, "start": 0.0, "stop": 1.0, "steps": 
     ([_XY], [], "not a JSON object"),
     (None, ["--model", "dopo", "--j", "2", "--d2", "-1", "--start", "-3", "--stop", "3",
             "--steps", "3", "--outputs", "e_g,phase,gap"], "d2: must be >= 0"),
+    (None, ["--model", "mapped", "--jx", "1", "--jy", "0", "--start", "0", "--stop", "1",
+            "--steps", "3"], "jx*jy > 0, got jx=1.0, jy=0.0; approach the Ising limit with jy/jx "
+                             "above about 1e-6 for any mapped sweep"),
 ], ids=["foreign-preset", "foreign-key", "unknown-key", "no-start", "no-stop", "no-steps",
         "no-jy", "no-j", "steps-3.9", "max-nodes-fraction", "jx-string", "dh-boolean", "tol-zero",
-        "tol-inf", "max-nodes-small", "config-array", "dopo-negative-d2"])
+        "tol-inf", "max-nodes-small", "config-array", "dopo-negative-d2", "mapped-jy-zero"])
 def test_sweep_schema_rejects_before_output(tmp_path, capsys, config, argv, named):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))

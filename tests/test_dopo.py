@@ -93,6 +93,13 @@ def test_energy_density_unstable_window_endpoints():
     assert 0.0 < lo < hi < np.pi
     mid = 0.5 * (lo + hi)
     assert dopo_omega_squared(DopoParams(2.0, -2.0, 1.0), mid) < 0
+    # the image of XYParams(1, 1e-8, 1): its band minimum is past -STABILITY_TOL
+    # by rounding, and both window cosines lie past -1, so the window is k = pi
+    p = DopoParams(2e-4, -10000.0001, 99999994.00000007)
+    with pytest.raises(UnstablePhaseError) as err:
+        dopo_energy_density(p)
+    assert err.value.unstable_k == (np.pi, np.pi)
+    assert dopo_omega_squared(p, np.pi) < 0
 
 
 @pytest.mark.parametrize("jx,jy,h", [(2.0, 1.0, 3.0), (1.0, 0.01, 1.01)])

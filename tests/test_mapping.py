@@ -42,10 +42,14 @@ def test_forward_map_near_ising():
 
 
 def test_forward_map_errors():
-    with pytest.raises(SingularMapError):
+    # the Ising limit and opposite signs get one error, which names the jy floor
+    floor = "jy/jx above about 1e-6 for any mapped sweep, and about 1e-4 where chi matters"
+    with pytest.raises(SingularMapError, match=r"jx\*jy > 0, got jx=1.0, jy=0.0") as err:
         map_xy_to_dopo(XYParams(1.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
+    assert floor in str(err.value)
+    with pytest.raises(SingularMapError, match=r"jx\*jy > 0, got jx=1.0, jy=-0.5") as err:
         map_xy_to_dopo(XYParams(1.0, -0.5, 1.0))
+    assert floor in str(err.value)
 
 
 def test_inverse_map_examples():
@@ -236,6 +240,16 @@ def test_energy_shift_values_both_routes():
     rep = map_energy_density(XYParams(2.0, 1.0, 4.0))
     shift = 4.0 * 3.0 / (2.0 * math.sqrt(2.0))
     assert rep.e_dopo == pytest.approx(-rep.e_xy + shift, abs=1e-9)
+
+
+@pytest.mark.parametrize("jy", [1e-8, 1e-9])
+def test_energy_shift_report_unstable_below_the_floor(jy):
+    # next to h_c the mapped network reads unstable by rounding, with both
+    # window cosines past -1: the report says so instead of raising
+    rep = map_energy_density(XYParams(1.0, jy, 1.0))
+    assert rep.stable is False
+    assert rep.e_dopo is None and rep.residual is None
+    assert rep.e_xy == pytest.approx(-4.0 / math.pi, abs=1e-8)
 
 
 @pytest.mark.parametrize("j,h", [(1.0, 0.5), (1.0, 1.0), (1.3, -1.9), (0.7, 0.0)])

@@ -62,6 +62,9 @@ def test_config_validation_messages():
         config_from_dict(dict(model="xy", jx=-1, jy=0, start=0, stop=1, steps=3))
     with pytest.raises(ConfigError, match="jx\\*jy"):
         config_from_dict(dict(model="mapped", jx=1, jy=0, start=0, stop=1, steps=3))
+    # the map is asked only once the sign check passes: one message per bad input
+    with pytest.raises(ConfigError, match="^params: couplings must be non-negative for sweeps$"):
+        config_from_dict(dict(model="mapped", jx=-1, jy=0, start=0, stop=1, steps=3))
     with pytest.raises(ConfigError, match=re.escape("params: ('j', 'd2') required for 'dopo'")):
         SweepConfig("dopo", XYParams(1, 0, 0), 0.0, 1.0, 3)
     with pytest.raises(ConfigError, match="format: must be csv or json"):
@@ -440,6 +443,11 @@ def test_run_critical_matches_the_threshold_on_the_mapped_side():
         {"h_c": 1.5, "delta_at_hc": -3.181980515339464, "physical": True,
          "delta_c": -3.1819805153394642, "residual": 4.440892098500626e-16},
     ]
+
+
+def test_run_critical_has_no_mapped_rows_without_a_map():
+    for jy in (0.0, -0.5):
+        assert "mapped" not in run_critical(XYParams(1.0, jy, 0.0))
 
 
 def test_run_critical_dopo():
