@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -39,6 +40,8 @@ from .types import (
 from .xy import xy_spectrum
 
 
+# a negative number, -1e-3 too, that follows a flag is that flag's value
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 # the parameter flags of spectrum, map and critical: the fields of both models
 _PARAM_FLAGS = tuple(f.name for cls in (XYParams, DopoParams) for f in fields(cls))
 
@@ -175,6 +178,10 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads -1 and -1.5 as values, -1e-3 as a flag
+        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and _NEGATIVE_NUMBER.fullmatch(argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,

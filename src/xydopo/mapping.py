@@ -11,8 +11,9 @@ and the map equates their cos^2 k, cos k and constant coefficients:
 
 d2 is carried signed so the map is total; DopoParams.is_physical says whether
 a real drive amplitude exists (d2 >= 0). The inverse keeps a coupling pair
-only if it maps forward within 1e-9. The energy densities of the two models
-differ by a known linear shift, checked numerically by map_energy_density.
+only if it maps forward within 1e-9. The energy densities differ by the shift
+e_dopo(h) = h*s - e_xy(h), s = (jx+jy)/(2*sqrt(jx*jy)): mapped sweeps apply it
+to the chain's energies, map_energy_density checks it on the network's band.
 """
 
 from __future__ import annotations
@@ -36,20 +37,19 @@ from .types import (
 
 def map_xy_to_dopo(p: XYParams) -> DopoParams:
     """Forward map; SingularMapError unless jx*jy > 0 (the jy = 0 limit is singular)."""
-    if not p.jx * p.jy > 0.0:
-        raise SingularMapError(
-            f"the map needs jx*jy > 0, got jx={p.jx}, jy={p.jy}; approach the Ising limit with jy/jx "
-            "above about 1e-6 for any mapped sweep, and about 1e-4 where chi matters")
-    return DopoParams(*_network(p, p.h))
-
-
-def _network(p: XYParams, h: float) -> tuple[float, float, float]:
-    """(j, delta, d2) of the network that chain p maps to at field h; jx*jy > 0."""
     prod = p.jx * p.jy
+    if not prod > 0.0:
+        raise SingularMapError(f"the map needs jx*jy > 0, got jx={p.jx}, jy={p.jy}")
     root = math.sqrt(prod)
-    return (2.0 * root,
-            0.0 - h * p.js / root,  # 0.0 - x and x + 0.0: an unsigned zero
-            p.jd ** 2 * (h ** 2 / prod - 4.0) + 0.0)
+    return DopoParams(2.0 * root,
+                      0.0 - p.h * p.js / root,  # 0.0 - x and x + 0.0: an unsigned zero
+                      p.jd ** 2 * (p.h ** 2 / prod - 4.0) + 0.0)
+
+
+def _shift_slope(p: XYParams) -> float:
+    """s = (jx+jy)/(2*sqrt(jx*jy)): along the map the network's energy density
+    is h*s - e_xy(h), the chain's through a linear shift; jx*jy > 0."""
+    return p.js / (2.0 * math.sqrt(p.jx * p.jy))
 
 
 def map_dopo_to_xy(d: DopoParams, h: float) -> XYParams | None:
@@ -118,7 +118,7 @@ def map_energy_density(p: XYParams) -> MapEnergyReport:
     and omits the residual when the mapped network has an unstable window.
     """
     e_xy = xy.xy_energy_density(p).value
-    shift = p.h * p.js / (2.0 * math.sqrt(p.jx * p.jy))
+    shift = p.h * _shift_slope(p)
     try:
         e_dopo = dopo.dopo_energy_density(map_xy_to_dopo(p)).value
     except UnstablePhaseError:

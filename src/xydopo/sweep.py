@@ -2,13 +2,14 @@
 
 Sweeps walk a control parameter (field h for the chain, detuning delta for
 the oscillator network) and emit one record per grid point, streaming. The
-``mapped`` model sweeps h, evaluates the network side of the correspondence
-and carries both h and the mapped delta per record (dual-axis data); its
-phase column translates the chain phase into network vocabulary
-(ordered -> superradiant, paramagnetic -> normal), which is the labeling the
-dual-axis figures use, while ``dopo`` sweeps classify from the spectrum
-itself. Derivative columns m_z and chi always differentiate the energy
-density with respect to the sweep's own control parameter.
+``mapped`` model sweeps h and carries both h and the mapped delta per record
+(dual-axis data). Its records are the chain's stencil seen through the map's
+shift e_dopo(h) = h*s - e_xy(h) (see mapping), so no network band is
+integrated and a small jy sets no floor. Its phase column translates the chain
+phase into network vocabulary (ordered -> superradiant, paramagnetic -> normal),
+the labeling the dual-axis figures use, while ``dopo`` sweeps classify from
+the spectrum itself. Derivative columns m_z and chi always differentiate the
+energy density with respect to the sweep's own control parameter.
 
 Flags column tokens, in the order they appear:
     critical      nearest grid point to a critical field / detuning in range
@@ -41,7 +42,7 @@ from .dopo import (
     dopo_threshold_detunings,
 )
 from .ed import ed_vs_analytic
-from .mapping import _network, _spectral_residuals, map_dopo_to_xy, map_energy_density, map_xy_to_dopo
+from .mapping import _shift_slope, _spectral_residuals, map_dopo_to_xy, map_energy_density, map_xy_to_dopo
 from .quadrature import QuadratureSpec
 from .types import (
     ANTIPERIODIC,
@@ -52,6 +53,7 @@ from .types import (
     PARAMAGNETIC,
     SUPERRADIANT,
     DopoParams,
+    NumericalError,
     SingularMapError,
     SweepRecord,
     XYParams,
@@ -234,24 +236,19 @@ def config_from_dict(raw: dict) -> SweepConfig:
 # ---------------------------------------------------------------------------
 
 def _point_model(cfg: SweepConfig, c: float):
-    """What the evaluator takes from cfg's model at control c: the energy
-    densities at a list of controls, computed in one call (None for an
-    unstable network), the phase and the gap (both deferred until asked for),
-    and the record's axes (h and/or delta)."""
+    """What the evaluator takes from cfg's model at control c: its parameters there,
+    the energy densities at a list of controls in one call (None for an unstable
+    network), the phase and the gap (both deferred until asked for), and the
+    record's axes (h and/or delta)."""
     quad = cfg.quad
-    if cfg.model == "xy":
-        p = cfg.params.with_h(c)
-        return (lambda xs: _xy_energies(p, xs, quad).value,
-                lambda: xy_phase(p), lambda: xy_gap(p), {"h": c})
     if cfg.model == "dopo":
         p = cfg.params.with_delta(c)
-        return (lambda xs: _dopo_energies([(p.j, x, p.d2) for x in xs], quad).value,
+        return (p, lambda xs: _dopo_energies([(p.j, x, p.d2) for x in xs], quad).value,
                 lambda: dopo_classify_phase(p), lambda: dopo_gap(p), {"delta": c})
     p = cfg.params.with_h(c)
-    network = map_xy_to_dopo(p)
-    return (lambda xs: _dopo_energies([_network(p, x) for x in xs], quad).value,
-            lambda: _PHASE_TRANSLATION[xy_phase(p)], lambda: dopo_gap(network),
-            {"h": c, "delta": network.delta})
+    phase = (lambda: _PHASE_TRANSLATION[xy_phase(p)]) if cfg.model == "mapped" else lambda: xy_phase(p)
+    axes = {"h": c, "delta": map_xy_to_dopo(p).delta} if cfg.model == "mapped" else {"h": c}
+    return p, lambda xs: _xy_energies(p, xs, quad).value, phase, lambda: xy_gap(p), axes
 
 
 def _evaluate_point(cfg: SweepConfig, c: float, critical: tuple[float, ...],
@@ -259,8 +256,14 @@ def _evaluate_point(cfg: SweepConfig, c: float, critical: tuple[float, ...],
     """One record from xy._stencil at c; critical lists the sweep's critical
     controls, nearest_critical flags this point."""
     wants = set(cfg.outputs)
-    energies, phase, gap, axes = _point_model(cfg, c)
-    e_g, m_z, chi, straddles = _stencil(energies, c, cfg.dh, wants, critical)
+    p, energies, phase, gap, axes = _point_model(cfg, c)
+    try:
+        e_g, m_z, chi, straddles = _stencil(energies, c, cfg.dh, wants, critical)
+    except NumericalError as exc:  # name the point: model, couplings and control
+        raise NumericalError(f"{cfg.model} sweep at {p!r}: {exc}", exc.achieved) from exc
+    if cfg.model == "mapped":  # e = c*s - e_xy, m_z = -s - m_z,xy, chi = 0.0 - chi_xy (no -0)
+        s = _shift_slope(cfg.params)
+        e_g, m_z, chi = (None if v is None else a - v for a, v in ((c * s, e_g), (-s, m_z), (0.0, chi)))
     flags = ["critical"] if nearest_critical else []
     if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
         flags.append("unstable-step")

@@ -85,6 +85,20 @@ def test_zero_is_written_unsigned(capsys, argv, fmt):
     assert {"0", "0.0"} & set(tokens) and not {"-0", "-0.0"} & set(tokens), out
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--model", "xy", "--jx", "1", "--jy", "0", "--start", "-1e-3", "--stop", "1",
+     "--steps", "3"),
+    ("spectrum", "--model", "dopo", "--j", "2", "--delta", "-5e0", "--d2", "1"),
+], ids=["sweep-start", "spectrum-delta"])
+def test_negative_exponent_notation_is_a_value(capsys, argv):
+    # argparse alone reads -1e-3 after a flag as a flag of its own and exits 2;
+    # the output is that of the --start=-1e-3 spelling, which argparse reads
+    code, out, _ = run_cli(capsys, *argv)
+    i = next(i for i, token in enumerate(argv) if token[:1] == "-" and token[1:2].isdigit())
+    spelled = (*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:])
+    assert code == 0 and out and run_cli(capsys, *spelled)[:2] == (0, out)
+
+
 def test_spectrum_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--model", "xy", "--jx", "1", "--jy", "0",
                            "--h", "1", "--n", "8")
@@ -138,7 +152,8 @@ def test_sweep_numerical_error_exit_code(capsys, monkeypatch):
                            "--start", "1.0", "--stop", "1.5", "--steps", "2",
                            "--outputs", "e_g", "--tol", "1e-12")
     assert code == 3
-    assert "numerical" in err
+    # the error names the point: model, couplings and control
+    assert "numerical" in err and "jy=0.999" in err and "h=1.0" in err
 
 
 @pytest.mark.parametrize("override", [("--stop", "inf"), ("--start", "-inf"),
@@ -196,8 +211,7 @@ _XY = {"model": "xy", "jx": 1.0, "jy": 0.0, "start": 0.0, "stop": 1.0, "steps": 
     (None, ["--model", "dopo", "--j", "2", "--d2", "-1", "--start", "-3", "--stop", "3",
             "--steps", "3", "--outputs", "e_g,phase,gap"], "d2: must be >= 0"),
     (None, ["--model", "mapped", "--jx", "1", "--jy", "0", "--start", "0", "--stop", "1",
-            "--steps", "3"], "jx*jy > 0, got jx=1.0, jy=0.0; approach the Ising limit with jy/jx "
-                             "above about 1e-6 for any mapped sweep"),
+            "--steps", "3"], "jx*jy > 0, got jx=1.0, jy=0.0\n"),
 ], ids=["foreign-preset", "foreign-key", "unknown-key", "no-start", "no-stop", "no-steps",
         "no-jy", "no-j", "steps-3.9", "max-nodes-fraction", "jx-string", "dh-boolean", "tol-zero",
         "tol-inf", "max-nodes-small", "config-array", "dopo-negative-d2", "mapped-jy-zero"])

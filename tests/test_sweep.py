@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from xydopo.dopo import dopo_energy_density, dopo_squeezing
+from xydopo.dopo import dopo_energy_density, dopo_gap, dopo_squeezing
 from xydopo.mapping import map_xy_to_dopo
 from xydopo.quadrature import QuadratureSpec
 from xydopo.sweep import (
@@ -178,7 +178,7 @@ def test_mapped_sweep_at_the_exact_critical_field():
     assert record.phase == CRITICAL
     e_xy = xy_energy_density(XYParams(2.0, 1.0, 3.0)).value
     assert record.e_g == pytest.approx(-e_xy + 9.0 / (2.0 * math.sqrt(2.0)), abs=1e-9)
-    assert record.gap == 0.0   # min Omega^2 = -7e-16 is rounding, clipped to 0
+    assert record.gap == 0.0   # the chain's closed-form band minimum at h_c
 
 
 def test_mapped_sweep_gap_closed_in_the_gapless_window():
@@ -311,20 +311,16 @@ def test_chain_derivative_columns_match_the_public_functions():
 
 
 @pytest.mark.parametrize("cfg", [
-    preset_config("fig3-left", steps=41, outputs="e_g,m_z,chi,phase,gap"),
-    preset_config("fig3-right", steps=41, outputs="e_g,m_z,chi,phase,gap"),
     config_from_dict(dict(model="dopo", j=2.0, d2=1.0, start=-8.0, stop=8.0, steps=41,
                           outputs="e_g,m_z,chi,phase,gap")),
-], ids=["fig3-left", "fig3-right", "dopo-unstable-window"])
+], ids=["dopo-unstable-window"])
 def test_network_columns_match_the_public_functions(cfg):
     # the sweep's network energies must be the public scalar dopo_energy_density
     # of each point's network, and its m_z and chi the stencil over that scalar
     # energy, to the last bit; an unstable network keeps None and unstable-step
     def energy(x):
-        network = (cfg.params.with_delta(x) if cfg.model == "dopo"
-                   else map_xy_to_dopo(cfg.params.with_h(x)))
         try:
-            return dopo_energy_density(network, cfg.quad).value
+            return dopo_energy_density(cfg.params.with_delta(x), cfg.quad).value
         except UnstablePhaseError:
             return None
 
@@ -337,7 +333,61 @@ def test_network_columns_match_the_public_functions(cfg):
                 != (energy(r.control), m_z, chi, None in (m_z, chi)):
             mismatches.append(r.control)
     assert mismatches == []
-    assert (unstable > 0) == (cfg.model == "dopo")   # unstable for -5 < delta < 5
+    assert unstable > 0   # unstable for -5 < delta < 5
+
+
+_FIG3 = ("fig3-left", "fig3-middle", "fig3-right")
+
+
+@pytest.mark.parametrize("name", _FIG3)
+def test_mapped_sweep_is_the_chain_sweep_through_the_shift(name):
+    # along the map the network's energy is h*s - e_xy(h): a mapped record is
+    # the chain's record on the same grid with e_g = h*s - e_xy, m_z = -m_z,xy - s
+    # and chi = -chi_xy, to the last bit, its phase translated and its delta mapped
+    cfg = preset_config(name, steps=41, outputs="e_g,m_z,chi,phase,gap")
+    jx, jy = cfg.params.jx, cfg.params.jy
+    s = (jx + jy) / (2.0 * math.sqrt(jx * jy))
+    translated = {ORDERED: SUPERRADIANT, PARAMAGNETIC: NORMAL, CRITICAL: CRITICAL}
+    chain = run_sweep(replace(cfg, model="xy"))
+    for r, x in zip(run_sweep(cfg), chain, strict=True):
+        want = replace(x, delta=map_xy_to_dopo(cfg.params.with_h(x.h)).delta,
+                       e_g=x.h * s - x.e_g, m_z=-x.m_z - s, chi=0.0 - x.chi,
+                       phase=translated[x.phase])
+        assert r == want, x.h
+
+
+@pytest.mark.parametrize("name", _FIG3)
+def test_mapped_columns_match_the_network_functions(name):
+    # the correspondence itself: each record against dopo_energy_density of its
+    # mapped network, dopo_gap, and the stencil over the network energies
+    cfg = preset_config(name, steps=41, outputs="e_g,m_z,chi,phase,gap")
+
+    def network(h):
+        return map_xy_to_dopo(cfg.params.with_h(h))
+
+    misses = {"e_g": 0.0, "gap": 0.0, "m_z": 0.0, "chi": 0.0}
+    for r in run_sweep(cfg):
+        e_g, m_z, chi, _ = _stencil(
+            lambda hs: [dopo_energy_density(network(h), cfg.quad).value for h in hs],
+            r.h, cfg.dh, {"e_g", "m_z", "chi"}, ())
+        assert "unstable-step" not in r.flags.split(";")
+        misses["e_g"] = max(misses["e_g"], abs(r.e_g - e_g))
+        misses["gap"] = max(misses["gap"], abs(r.gap - dopo_gap(network(r.h))))
+        misses["m_z"] = max(misses["m_z"], abs(r.m_z - m_z))
+        misses["chi"] = max(misses["chi"], abs(r.chi - chi) / max(1.0, abs(chi)))
+    assert misses["e_g"] <= 1e-12 and misses["gap"] <= 1e-10, misses
+    assert misses["m_z"] <= 1e-10 and misses["chi"] <= 1e-7, misses
+
+
+@pytest.mark.parametrize("jy", [1e-6, 1e-9, 1e-12])
+def test_mapped_sweep_has_no_jy_floor(jy):
+    # the network band of a near-Ising map cancels h^2/(jx*jy) terms; the
+    # chain's own band does not, so every record keeps its energy
+    cfg = config_from_dict(dict(model="mapped", jx=1.0, jy=jy, start=0.0, stop=2.0,
+                                steps=401, outputs="e_g,m_z,chi,phase,gap"))
+    records = list(run_sweep(cfg))
+    assert len(records) == 401
+    assert all(r.e_g is not None and "unstable-step" not in r.flags.split(";") for r in records)
 
 
 def test_workers_do_not_change_output():
