@@ -19,16 +19,17 @@ for ARPACK. The dense method diagonalizes every block as a full matrix
 (about 33 MB per block at n = 12, the dense limit) and is the reference. The
 Lanczos method does the same for blocks of at most 128 states (n <= 8), where
 that is faster, and runs ARPACK's implicitly restarted Lanczos (scipy's eigsh)
-on the sparse block above that, to n = 20: at n = 12, about 0.015 s against
+on the sparse block above that, to n = 20: at n = 12, about 0.017 s against
 1.6 s dense on one BLAS thread of a 2-vCPU x86 host, with energies equal to
 about 1e-13. ed_ground_state is dense unless asked otherwise and keeps eight
 levels per dense block, two per ARPACK block, for its gap and m_z.
 ed_vs_analytic, and through it validate's ED table, finds one level per sector
-on a block about 2n times smaller (see its docstring): 1,162 and 1,088 states
-against 32,768 at n = 16, 0.015 s against 0.24 s. That block's couplings-free
-structure is built once per (n, parity) and cached, 13.0 MB for every even n
-to 20 and 0.9 MB to n = 16. scipy is imported only when a block is solved,
-and scipy.sparse only for an ARPACK block.
+on a block about 2n times smaller (see its docstring), with ARPACK started from
+the block's positive state: 1,162 and 1,088 states against 32,768 at n = 16,
+0.005-0.011 s against 0.3-0.9 s, and 0.05-0.14 s at n = 20. That block's
+couplings-free structure and start are built once per (n, parity) and cached,
+13.3 MB for every even n to 20 and 0.9 MB to n = 16. scipy is imported only
+when a block is solved, and scipy.sparse only for an ARPACK block.
 """
 
 from __future__ import annotations
@@ -50,9 +51,15 @@ _DENSE_MAX = 12
 _LANCZOS_MAX = 20
 _DENSE_BLOCK_MAX = 128   # n <= 8: the Lanczos method solves blocks this small dense, faster
 _DENSE_LEVELS = 8        # lowest levels kept per block by the dense solver
-_ARPACK_SEED = 20240917  # fixed start vector: repeated calls give equal results
+_ARPACK_SEED = 20240917  # the parity blocks' fixed Gaussian start: repeated calls give equal results
 _ARPACK_TOL = 1e-12      # relative residual, so each level is within 1e-12 |E|
-_DEGENERACY_TOL = 1e-9
+_DEGENERACY_TOL = 1e-9   # times the largest of |jx|, |jy|, |h|: levels this close tie
+
+
+def _degeneracy_tol(p: XYParams) -> float:
+    """How close two levels of p's ring must be to tie: H is homogeneous in (jx, jy, h),
+    so the bound scales with them, and a chain scaled by any factor ties the same levels."""
+    return _DEGENERACY_TOL * max(abs(p.jx), abs(p.jy), abs(p.h))
 
 
 @dataclass(frozen=True)
@@ -105,9 +112,10 @@ def _sector_states(n: int, odd: int) -> np.ndarray:
     return (upper << 1) | ((np.bitwise_count(upper) & 1) ^ odd)
 
 
-def _lowest(ham, k: int, p: XYParams, n: int, odd: int):
+def _lowest(ham, k: int, p: XYParams, n: int, odd: int, v0):
     """The lowest levels and vectors of a block of sector odd of (p, n): up to k
-    by LAPACK for a dense array, else min(k, 2) by ARPACK on the CSR matrix."""
+    by LAPACK for a dense array, else min(k, 2) by ARPACK on the CSR matrix,
+    started from v0 (a dense array takes none)."""
     dim = ham.shape[0]
     if isinstance(ham, np.ndarray):
         import scipy.linalg
@@ -117,9 +125,11 @@ def _lowest(ham, k: int, p: XYParams, n: int, odd: int):
         return scipy.linalg.eigh(ham.T, overwrite_a=True, subset_by_index=(0, min(k, dim) - 1))
     import scipy.sparse.linalg
 
-    v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(dim)
+    # the CSR product itself, the same bits: eigsh would wrap the matrix in an
+    # operator that sends each of its ~100 products through four more calls
+    op = scipy.sparse.linalg.LinearOperator(ham.shape, matvec=ham.__matmul__, dtype=ham.dtype)
     try:
-        return scipy.sparse.linalg.eigsh(ham, k=min(k, 2), which="SA", v0=v0, tol=_ARPACK_TOL)
+        return scipy.sparse.linalg.eigsh(op, k=min(k, 2), which="SA", v0=v0, tol=_ARPACK_TOL)
     except scipy.sparse.linalg.ArpackError as exc:  # includes ArpackNoConvergence
         raise NumericalError(
             f"ARPACK failed for {p} at n={n} ({ODD if odd else EVEN} sector): {exc}"
@@ -141,16 +151,23 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
         return -p.h * sz, sz
     cols, aligned, sz = _rows(n, _sector_states(n, odd), 1)
     dense = method == DENSE or len(cols) <= _DENSE_BLOCK_MAX
+    # ARPACK starts from a seeded Gaussian, not from a symmetric state: this block
+    # is not symmetrized and two levels are asked for, and a start symmetric under
+    # rotations and reflections keeps the Krylov space in the k = 0 reflection-even
+    # states, which may not hold the first excited level, so the gap could be wrong
+    v0 = None if dense else np.random.default_rng(_ARPACK_SEED).standard_normal(len(cols))
     levels, vecs = _lowest(_block(cols, aligned, sz, p.jx, p.jy, p.h, dense=dense),
-                           _DENSE_LEVELS, p, n, odd)
+                           _DENSE_LEVELS, p, n, odd, v0)
     return levels, (vecs * vecs).T @ sz
 
 
-@lru_cache(maxsize=20)  # even n in 2..20, both parities: 13.0 MB in all, 0.9 MB for n <= 16
+@lru_cache(maxsize=20)  # even n in 2..20, both parities: 13.3 MB in all, 0.9 MB for n <= 16
 def _dihedral_block(n: int, odd: int):
     """The couplings-free part of sector odd's dihedral-symmetric block of an even
     ring, read-only: orbit-mapped columns (the diagonal first), the aligned-pair
-    mask and weights sqrt(|O_row|/|O_col|) of each bond, and sum_i sz_i."""
+    mask and weights sqrt(|O_row|/|O_col|) of each bond, sum_i sz_i, and ARPACK's
+    start sqrt(|O|): the sector's uniform superposition in the block's normalized
+    orbit states, strictly positive."""
     states = _sector_states(n, odd)
     # orbit representative: the least of the n rotations of s and of its reversal
     rep = states
@@ -162,22 +179,27 @@ def _dihedral_block(n: int, odd: int):
     cols, aligned, sz = _rows(n, reps, 0)
     cols = orbit[cols >> 1]
     weight = np.sqrt(size[:, None] / size[cols[:, 1:]])
-    cols.flags.writeable = aligned.flags.writeable = weight.flags.writeable = sz.flags.writeable = False
-    return cols, aligned, weight, sz
+    start = np.sqrt(size.astype(float))
+    for array in (cols, aligned, weight, sz, start):
+        array.flags.writeable = False
+    return cols, aligned, weight, sz, start
 
 
 def _perron_level(p: XYParams, n: int, odd: int) -> float:
     """The lowest level of sector odd of an even ring, from its dihedral-symmetric
     block (see ed_vs_analytic) with the couplings in the sign frame (a, b); a
-    field-only chain's is _sector_levels' exact one."""
+    field-only chain's is _sector_levels' exact one. ARPACK starts from the block's
+    positive state: the level's eigenvector is nonnegative and nonzero, so the
+    start overlaps it by construction, not just almost surely as a random one does,
+    and fewer restarts reach it."""
     if p.jx == 0.0 and p.jy == 0.0:
         return float(_sector_levels(p, n, odd, LANCZOS)[0][0])
     a, b = (p.jx, p.jy) if abs(p.jx) >= abs(p.jy) else (p.jy, p.jx)
     if a < 0.0:
         a, b = -a, -b
-    cols, aligned, weight, sz = _dihedral_block(n, odd)
+    cols, aligned, weight, sz, start = _dihedral_block(n, odd)
     ham = _block(cols, aligned, sz, a, b, p.h, weight, dense=len(cols) <= _DENSE_BLOCK_MAX)
-    return float(_lowest(ham, 1, p, n, odd)[0][0])
+    return float(_lowest(ham, 1, p, n, odd, start)[0][0])
 
 
 def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
@@ -201,9 +223,9 @@ def ed_ground_state(p: XYParams, n: int, method: str = DENSE) -> EdResult:
     levels = np.concatenate([even, odd])
     order = np.argsort(levels, kind="stable")
     levels, sz = levels[order], np.concatenate([even_sz, odd_sz])[order]
-    e0 = levels[0]
-    group = levels - e0 <= _DEGENERACY_TOL  # its average m_z does not depend on the basis
-    parity = EVEN if even.min() - e0 <= _DEGENERACY_TOL else ODD
+    e0, tol = levels[0], _degeneracy_tol(p)
+    group = levels - e0 <= tol  # its average m_z does not depend on the basis
+    parity = EVEN if even.min() - e0 <= tol else ODD
     return EdResult(n, float(e0), float(np.mean(sz[group])) / n, parity,
                     float(levels[1] - e0))
 
@@ -246,5 +268,5 @@ def ed_vs_analytic(p: XYParams, n: int) -> SectorComparison:
     e0 = float(min(even, odd))
     periodic = xy_ground_energy_finite(p, build_grid(n, PERIODIC))
     anti = xy_ground_energy_finite(p, build_grid(n, ANTIPERIODIC))
-    matched = ANTIPERIODIC if even - e0 <= _DEGENERACY_TOL else PERIODIC
+    matched = ANTIPERIODIC if even - e0 <= _degeneracy_tol(p) else PERIODIC
     return SectorComparison(n, e0, periodic, anti, e0 - periodic, e0 - anti, matched)

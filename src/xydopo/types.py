@@ -60,7 +60,10 @@ class UnstablePhaseError(RuntimeError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except ValueError:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return value
@@ -68,9 +71,15 @@ def _require_finite(name: str, value: float) -> float:
 
 def _require_finite_fields(params) -> None:
     """Store each field of a frozen parameter dataclass as a finite float; its
-    __match_args__ names the fields without the tuple dataclasses.fields builds per call."""
+    __match_args__ names the fields without the tuple dataclasses.fields builds per call.
+    A field that already is a finite float (not a subclass, such as np.float64) is left
+    as it is, and the others are written through the instance __dict__, which frozen
+    leaves writable."""
+    fields = params.__dict__
     for name in params.__match_args__:
-        object.__setattr__(params, name, _require_finite(name, getattr(params, name)))
+        value = fields[name]
+        if type(value) is not float or not math.isfinite(value):
+            fields[name] = _require_finite(name, value)
 
 
 @dataclass(frozen=True)

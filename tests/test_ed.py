@@ -8,6 +8,7 @@ import pytest
 import xydopo
 
 from xydopo.ed import (
+    _ARPACK_SEED,
     DENSE,
     EVEN,
     ODD,
@@ -73,7 +74,7 @@ def test_dense_assembly_equals_csr_toarray():
         for odd in (0, 1):
             _dense_equals_csr(_rows(n, _sector_states(n, odd), 1), rng)
             if n % 2 == 0:
-                cols, aligned, weight, sz = _dihedral_block(n, odd)
+                cols, aligned, weight, sz, _ = _dihedral_block(n, odd)
                 _dense_equals_csr((cols, aligned, sz), rng, weight)
         if n <= 10:
             _dense_equals_csr(_rows(n, np.arange(1 << n, dtype=np.int64), 0), rng)
@@ -236,25 +237,34 @@ def test_lanczos_solves_blocks_of_up_to_128_states_dense(n):
 def test_lanczos_runs_arpack_on_larger_blocks(monkeypatch):
     import scipy.sparse.linalg
 
-    calls = []
+    calls, starts = [], []
     eigsh = scipy.sparse.linalg.eigsh
 
     def spy(a, *args, **kwargs):
         calls.append((a.shape[0], kwargs["k"]))
+        starts.append(kwargs["v0"])
         return eigsh(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     p = XYParams(2.0, 1.0, 1.5)
     ed_ground_state(p, 9, "lanczos")
-    # both parity blocks of the 9-site ring, two levels each for the gap and m_z
+    # both parity blocks of the 9-site ring, two levels each for the gap and m_z,
+    # started from the seeded Gaussian, which no symmetry confines
     assert calls == [(256, 2), (256, 2)]
+    gaussian = np.random.default_rng(_ARPACK_SEED).standard_normal(256)
+    assert all(np.array_equal(v0, gaussian) for v0 in starts)
     calls.clear()
+    starts.clear()
     # the sector comparison reads one level of each sector's dihedral-symmetric
-    # block: 44 and 34 states at n = 10, solved dense, 1162 and 1088 at n = 16
+    # block: 44 and 34 states at n = 10, solved dense, 1162 and 1088 at n = 16,
+    # started from a strictly positive state, which overlaps the level's
+    # nonnegative eigenvector
     ed_vs_analytic(p, 10)
     assert calls == []
     ed_vs_analytic(p, 16)
     assert calls == [(1162, 1), (1088, 1)]
+    assert [v0.shape for v0 in starts] == [(1162,), (1088,)]
+    assert all(v0.min() > 0.0 for v0 in starts)
 
 
 @pytest.mark.parametrize("jx,jy", [(2.0, 1.0), (1.0, 1.0), (1.0, 0.0)],
@@ -299,6 +309,51 @@ def test_perron_block_holds_each_sector_ground_level(monkeypatch):
                     perron = np.linalg.eigvalsh(blocks[0])
                     miss = np.abs(perron[:, None] - parity[None, :]).min(axis=1)
                     assert miss.max() <= 1e-12 * max(1.0, np.abs(parity).max()), (point, n, odd)
+
+
+def test_arpack_perron_level_is_the_block_lowest_level(monkeypatch):
+    # at n = 14 ARPACK solves the symmetric block, started from its positive state;
+    # the level it returns is LAPACK's lowest of the same block, in every sign frame
+    # (none, swap, negate, both), on reducible blocks and on random chains
+    blocks = []
+
+    def spy(ham, *args):
+        blocks.append(ham)
+        return _lowest(ham, *args)
+
+    monkeypatch.setattr(xydopo.ed, "_lowest", spy)
+    rng = np.random.default_rng(83)
+    points = [(2.0, 1.0, 1.5), (0.5, 1.5, -0.7), (-2.0, 0.3, 1.1), (1.0, -2.0, 0.4),
+              (1.0, 1.0, 0.6), (0.0, 1.0, 0.8)]  # the last two reducible
+    points += [tuple(rng.uniform(-2.5, 2.5, size=3)) for _ in range(6)]
+    for point in points:
+        p = XYParams(*point)
+        for odd in (0, 1):
+            blocks.clear()
+            level = _perron_level(p, 14, odd)
+            assert not isinstance(blocks[0], np.ndarray), (point, odd)  # ARPACK's CSR block
+            want = np.linalg.eigvalsh(blocks[0].toarray())[0]
+            assert abs(level - want) <= 1e-12 * max(1.0, abs(want)), (point, odd)
+
+
+@pytest.mark.parametrize("point, n", [
+    ((2.0, 1.0, 1.5), 8), ((1.0, 0.0, 0.5), 6), ((1.0, 1.0, 0.7), 8),
+    ((1.0, 1.0, 3.0), 8), ((1.0, 0.0, 0.0), 8), ((0.7, 1.9, -0.4), 10), ((0.0, 0.0, 1.3), 6),
+])
+def test_ed_is_scale_invariant(point, n):
+    # H is homogeneous in (jx, jy, h): scaling the chain by lam scales every level
+    # by lam and leaves the ground state, its parity and its sector unchanged, so
+    # which levels tie may not depend on the scale (polarized and Ising ties included)
+    ref = ed_ground_state(XYParams(*point), n)
+    ref_cmp = ed_vs_analytic(XYParams(*point), n)
+    for lam in (1e-10, 1e-8, 1e-6, 1e6):
+        p = XYParams(*(lam * x for x in point))
+        res, cmp = ed_ground_state(p, n), ed_vs_analytic(p, n)
+        assert (res.parity, cmp.matched_sector) == (ref.parity, ref_cmp.matched_sector), lam
+        assert abs(res.ground_m_z - ref.ground_m_z) <= 1e-9, lam
+        for energy, want in ((res.ground_energy, ref.ground_energy),
+                             (cmp.ed_energy, ref_cmp.ed_energy)):
+            assert abs(energy / lam - want) <= 1e-12 * abs(want), lam
 
 
 def test_dihedral_block_cache_is_couplings_free_and_read_only():

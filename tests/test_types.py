@@ -78,12 +78,22 @@ def test_xy_params_derived_quantities():
     assert p.with_h(4.0) == XYParams(2.0, 1.0, 4.0)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                 pytest.param(np.float64("nan"), id="np-nan"), "x"])
 def test_params_must_be_finite(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^jy must be a finite"):
         XYParams(1.0, bad, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d2 must be a finite"):
         DopoParams(1.0, 0.0, bad)
+
+
+@pytest.mark.parametrize("value", [3, np.float64(0.1), np.float32(0.1), True])
+def test_params_store_exact_python_floats(value):
+    for p in (XYParams(value, value, value), DopoParams(value, value, value)):
+        for name in p.__match_args__:
+            assert type(getattr(p, name)) is float and getattr(p, name) == float(value)
+        with pytest.raises(AttributeError):  # still frozen
+            setattr(p, p.__match_args__[0], 2.0)
 
 
 def test_params_immutable():
