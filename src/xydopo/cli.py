@@ -1,7 +1,7 @@
 """Command-line driver: sweeps, mapping queries, critical points, validation.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration,
-3 numerical error.
+3 numerical error, an overflow of a float included.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, UnstablePhaseError) as exc:
+    except (NumericalError, UnstablePhaseError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -28,7 +28,7 @@ on a block about 2n times smaller (see its docstring), with ARPACK started from
 the block's positive state: 1,162 and 1,088 states against 32,768 at n = 16,
 0.005-0.011 s against 0.3-0.9 s, and 0.05-0.14 s at n = 20. That block's
 couplings-free structure and start are built once per (n, parity) and cached,
-13.3 MB for every even n to 20 and 0.9 MB to n = 16. scipy is imported only
+10.2 MB for every even n to 20 and 0.7 MB to n = 16. scipy is imported only
 when a block is solved, and scipy.sparse only for an ARPACK block.
 """
 
@@ -88,7 +88,8 @@ def _block(cols, aligned, sz, a: float, b: float, h: float, weight=1.0, dense=Fa
     """The rows from _rows as a CSR matrix, or an array if dense, for couplings (a, b) =
     (jx, jy) or a sign frame of them: -h sum_i sz_i on the diagonal, b - a on an aligned
     pair and -(a + b) on an anti-aligned one, times the bond's weight. Entries of a row that
-    share a column add up (at n = 2), in CSR toarray's order when dense: the same bits."""
+    share a column add up (at n = 2), in CSR toarray's order when dense: the same bits.
+    int32 cols become the CSR matrix's own indices, with no copy or range check."""
     amps = np.column_stack([-h * sz, np.where(aligned, b - a, -(a + b)) * weight])
     dim = len(cols)
     if dense:  # bincount adds the weights of each row-major flat index in order
@@ -96,7 +97,7 @@ def _block(cols, aligned, sz, a: float, b: float, h: float, weight=1.0, dense=Fa
         return np.bincount(flat.ravel(), amps.ravel(), dim * dim).reshape(dim, dim)
     import scipy.sparse
 
-    indptr = np.arange(0, amps.size + 1, amps.shape[1])
+    indptr = np.arange(0, amps.size + 1, amps.shape[1], dtype=cols.dtype)
     return scipy.sparse.csr_matrix((amps.ravel(), cols.ravel(), indptr), shape=(dim, dim))
 
 
@@ -161,13 +162,13 @@ def _sector_levels(p: XYParams, n: int, odd: int, method: str):
     return levels, (vecs * vecs).T @ sz
 
 
-@lru_cache(maxsize=20)  # even n in 2..20, both parities: 13.3 MB in all, 0.9 MB for n <= 16
+@lru_cache(maxsize=20)  # even n in 2..20, both parities: 10.2 MB in all, 0.7 MB for n <= 16
 def _dihedral_block(n: int, odd: int):
     """The couplings-free part of sector odd's dihedral-symmetric block of an even
-    ring, read-only: orbit-mapped columns (the diagonal first), the aligned-pair
-    mask and weights sqrt(|O_row|/|O_col|) of each bond, sum_i sz_i, and ARPACK's
-    start sqrt(|O|): the sector's uniform superposition in the block's normalized
-    orbit states, strictly positive."""
+    ring, read-only: orbit-mapped columns (the diagonal first) as int32, the CSR
+    matrix's own indices, the aligned-pair mask and weights sqrt(|O_row|/|O_col|) of
+    each bond, sum_i sz_i, and ARPACK's start sqrt(|O|): the sector's uniform
+    superposition in the block's normalized orbit states, strictly positive."""
     states = _sector_states(n, odd)
     # orbit representative: the least of the n rotations of s and of its reversal
     rep = states
@@ -177,7 +178,7 @@ def _dihedral_block(n: int, odd: int):
             rep = np.minimum(rep, t)
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     cols, aligned, sz = _rows(n, reps, 0)
-    cols = orbit[cols >> 1]
+    cols = orbit[cols >> 1].astype(np.int32)
     weight = np.sqrt(size[:, None] / size[cols[:, 1:]])
     start = np.sqrt(size.astype(float))
     for array in (cols, aligned, weight, sz, start):

@@ -14,9 +14,11 @@ the last level, summed over the pieces.
 One call may hold several integrals over [a, b], its rows, each with its own
 breaks and tolerance. All rows share one integrand call per level, and each
 row stops at its own level with the bits of a call of its own: it is reduced
-over its own pieces only, in that call's BLAS shape. A row's pieces share a
-fixed budget of 2^20 nodes, which binds only on rounding noise: the package's
-integrals converge by level 6, and a one-piece row may go to level 17.
+over its own pieces only, in that call's BLAS shape. Rows of one piece count
+are reduced as the level's values come, rows of several counts count by count.
+A row's pieces share a fixed budget of 2^20 nodes, checked once the widest row
+could pass it, which binds only on rounding noise: the package's integrals
+converge by level 6, and a one-piece row may go to level 17.
 
 Node tables are cached read-only up to level 10: 7,169 nodes, 114,704 bytes
 of arrays (under 128 KiB with their objects). Higher levels are built per call.
@@ -88,7 +90,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         shape, called once a level with a fresh array: row r holds the new
         nodes of every piece of row r, padded with nodes at b when another
         row has more pieces.
-    a, b : integration limits, a < b.
+    a, b : finite integration limits, a < b.
     spec : the tolerance of each row; each row's node budget is _MAX_NODES.
     breaks : points where f has a kink or bends sharply; those strictly
         inside (a, b) split the interval. An interior kink must be passed
@@ -100,51 +102,64 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     Raises NumericalError carrying a row's achieved tolerance when its budget
     runs out before it converges.
     """
-    if not b > a:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
     a, b, breaks = float(a), float(b), list(breaks)
     # one row unless breaks holds sequences; a number or a 0-d array is a break
     single = not breaks or not hasattr(breaks[0], "__iter__") or getattr(breaks[0], "ndim", 1) == 0
     edges = [[a, *sorted({float(x) for x in row if a < x < b}), b]
              for row in ([breaks] if single else breaks)]
     pieces = [len(e) - 1 for e in edges]
-    counts = sorted(set(pieces))
+    widest, counts = max(pieces), sorted(set(pieces))
     if len(counts) > 1:   # pad each row to the widest with empty pieces at b
-        edges = [e + e[-1:] * (counts[-1] - n) for e, n in zip(edges, pieces)]
+        edges = [e + e[-1:] * (widest - n) for e, n in zip(edges, pieces)]
     edges = np.array(edges)
     lo, width = edges[:, :-1, None], (edges[:, 1:] - edges[:, :-1])[..., None]
-    # rows grouped by piece count, so each is reduced in the BLAS call shape it
-    # gets alone; one group indexes fx by a slice, no copy
-    groups = [(n, rows, rows if len(counts) > 1 else slice(None))
-              for n in counts for rows in [[r for r, m in enumerate(pieces) if m == n]]]
-    ests = [None] * len(groups)
+    # rows of one piece count reduce fx and span as they are; rows of several
+    # counts are grouped by count, each reduced in the BLAS call shape it gets alone
+    span = width[..., 0]
+    groups = [(n, [r for r, m in enumerate(pieces) if m == n]) for n in counts] if len(counts) > 1 else ()
+    ests = [None] * len(groups) if groups else None   # the last level's piece estimates
     value, error, nodes = [None] * len(pieces), [math.inf] * len(pieces), [0] * len(pieces)
-    level = _FIRST
-    while None in value:
-        short = [r for r, n in enumerate(pieces)
-                 if value[r] is None and n * _nodes_through(level) > _MAX_NODES]
-        if short:
-            raise NumericalError(f"quadrature did not reach tol={spec.tol:g} within "
-                                 f"{_MAX_NODES} nodes (achieved {error[short[0]]:g})",
-                                 achieved=error[short[0]])
+    level, open_rows = _FIRST, len(pieces)
+    while open_rows:
+        if widest * _nodes_through(level) > _MAX_NODES:
+            short = [r for r, n in enumerate(pieces)
+                     if value[r] is None and n * _nodes_through(level) > _MAX_NODES]
+            if short:
+                raise NumericalError(f"quadrature did not reach tol={spec.tol:g} within "
+                                     f"{_MAX_NODES} nodes (achieved {error[short[0]]:g})",
+                                     achieved=error[short[0]])
         x, w = _table(level) if level <= _CACHED else _table.__wrapped__(level)
         fx = np.asarray(f((lo + width * x).reshape(len(pieces), -1)), dtype=float)
         fx = fx.reshape(*lo.shape[:2], -1)
-        for g, (n, rows, select) in enumerate(groups):
-            part, span, prev = fx[select, :n], width[select, :n, 0], ests[g]
-            new = span * (part @ w)
-            if prev is None:   # level 3, nested in the first level, is the first estimate
-                coarse = _nodes_through(_FIRST - 1)
-                prev, ests[g] = 2.0 * span * (part[..., :coarse] @ w[:coarse]), new
-            else:
-                ests[g] = 0.5 * prev + new
-            changes = np.abs(ests[g] - prev).sum(axis=1).tolist()
-            for r, change, total in zip(rows, changes, ests[g].sum(axis=1).tolist()):
-                if value[r] is None:   # a converged row is evaluated on but keeps its result
-                    error[r] = change
-                    if change < spec.tol:
-                        value[r], nodes[r] = total, n * _nodes_through(level)
+        if not groups:
+            ests, changes, totals = _refine(fx, span, w, ests)
+        else:
+            changes, totals = [0.0] * len(pieces), [0.0] * len(pieces)
+            for g, (n, rows) in enumerate(groups):
+                ests[g], *reduced = _refine(fx[rows, :n], span[rows, :n], w, ests[g])
+                for r, change, total in zip(rows, *reduced):
+                    changes[r], totals[r] = change, total
+        for r, (change, total) in enumerate(zip(changes, totals)):
+            if value[r] is None:   # a converged row is evaluated on but keeps its result
+                error[r] = change
+                if change < spec.tol:
+                    value[r], nodes[r] = total, pieces[r] * _nodes_through(level)
+                    open_rows -= 1
         level += 1
     if single:
         return Integral(value[0], error[0], nodes[0])
     return Integral(tuple(value), tuple(error), sum(nodes))
+
+
+def _refine(part, span, w, prev):
+    """The piece estimates of rows at this level from their fx part and the last
+    level's estimates prev, with each row's change and total as lists."""
+    new = span * (part @ w)
+    if prev is None:   # level 3, nested in the first level, is the first estimate
+        coarse = _nodes_through(_FIRST - 1)
+        prev, est = 2.0 * span * (part[..., :coarse] @ w[:coarse]), new
+    else:
+        est = 0.5 * prev + new
+    return est, np.abs(est - prev).sum(axis=1).tolist(), est.sum(axis=1).tolist()

@@ -235,43 +235,47 @@ def config_from_dict(raw: dict) -> SweepConfig:
 # per-point evaluation
 # ---------------------------------------------------------------------------
 
-def _point_model(cfg: SweepConfig, c: float):
-    """What the evaluator takes from cfg's model at control c: its parameters there,
-    the energy densities at a list of controls in one call (None for an unstable
-    network), the phase and the gap (both deferred until asked for), and the
-    record's axes (h and/or delta)."""
-    quad = cfg.quad
+def _evaluator(cfg: SweepConfig, critical: tuple[float, ...]):
+    """evaluate(c, nearest_critical), the record at control c from xy._stencil;
+    critical lists the sweep's critical controls. What depends on cfg alone is
+    built here, once a sweep: the wanted columns, the model's parameters at c,
+    its energy densities at a list of controls in one call (None for an unstable
+    network), its phase, gap and record axes (h, delta) at c, and a mapped sweep's
+    shift slope."""
+    wants, quad, params, dh = set(cfg.outputs), cfg.quad, cfg.params, cfg.dh
     if cfg.model == "dopo":
-        p = cfg.params.with_delta(c)
-        return (p, lambda xs: _dopo_energies([(p.j, x, p.d2) for x in xs], quad).value,
-                lambda: dopo_classify_phase(p), lambda: dopo_gap(p), {"delta": c})
-    p = cfg.params.with_h(c)
-    phase = (lambda: _PHASE_TRANSLATION[xy_phase(p)]) if cfg.model == "mapped" else lambda: xy_phase(p)
-    axes = {"h": c, "delta": map_xy_to_dopo(p).delta} if cfg.model == "mapped" else {"h": c}
-    return p, lambda xs: _xy_energies(p, xs, quad).value, phase, lambda: xy_gap(p), axes
+        j, d2 = params.j, params.d2
+        at, phase, gap = params.with_delta, dopo_classify_phase, dopo_gap
+        energies = lambda xs: _dopo_energies([(j, x, d2) for x in xs], quad).value
+        axes = lambda p: (None, p.delta)
+    else:  # the chain's energies read only its couplings, the fields come in xs
+        at, phase, gap = params.with_h, xy_phase, xy_gap
+        energies = lambda xs: _xy_energies(params, xs, quad).value
+        axes = lambda p: (p.h, None)
+        if cfg.model == "mapped":
+            phase = lambda p: _PHASE_TRANSLATION[xy_phase(p)]
+            axes = lambda p: (p.h, map_xy_to_dopo(p).delta)
+    slope = _shift_slope(params) if cfg.model == "mapped" else None
 
+    def evaluate(c: float, nearest_critical: bool) -> SweepRecord:
+        p = at(c)
+        try:
+            e_g, m_z, chi, straddles = _stencil(energies, c, dh, wants, critical)
+        except NumericalError as exc:  # name the point: model, couplings and control
+            raise NumericalError(f"{cfg.model} sweep at {p!r}: {exc}", exc.achieved) from exc
+        if slope is not None:  # e = c*s - e_xy, m_z = -s - m_z,xy, chi = 0.0 - chi_xy (no -0)
+            e_g, m_z, chi = (None if v is None else a - v
+                             for a, v in ((c * slope, e_g), (-slope, m_z), (0.0, chi)))
+        flags = ["critical"] if nearest_critical else []
+        if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
+            flags.append("unstable-step")
+        if straddles:
+            flags.append("straddle")
+        return SweepRecord(c, *axes(p), e_g=e_g, m_z=m_z, chi=chi,
+                           phase=phase(p) if "phase" in wants else None,
+                           gap=gap(p) if "gap" in wants else None, flags=";".join(flags))
 
-def _evaluate_point(cfg: SweepConfig, c: float, critical: tuple[float, ...],
-                    nearest_critical: bool) -> SweepRecord:
-    """One record from xy._stencil at c; critical lists the sweep's critical
-    controls, nearest_critical flags this point."""
-    wants = set(cfg.outputs)
-    p, energies, phase, gap, axes = _point_model(cfg, c)
-    try:
-        e_g, m_z, chi, straddles = _stencil(energies, c, cfg.dh, wants, critical)
-    except NumericalError as exc:  # name the point: model, couplings and control
-        raise NumericalError(f"{cfg.model} sweep at {p!r}: {exc}", exc.achieved) from exc
-    if cfg.model == "mapped":  # e = c*s - e_xy, m_z = -s - m_z,xy, chi = 0.0 - chi_xy (no -0)
-        s = _shift_slope(cfg.params)
-        e_g, m_z, chi = (None if v is None else a - v for a, v in ((c * s, e_g), (-s, m_z), (0.0, chi)))
-    flags = ["critical"] if nearest_critical else []
-    if ("m_z" in wants and m_z is None) or ("chi" in wants and chi is None):
-        flags.append("unstable-step")
-    if straddles:
-        flags.append("straddle")
-    return SweepRecord(control=c, **axes, e_g=e_g, m_z=m_z, chi=chi,
-                       phase=phase() if "phase" in wants else None,
-                       gap=gap() if "gap" in wants else None, flags=";".join(flags))
+    return evaluate
 
 
 def _critical_controls(cfg: SweepConfig) -> tuple[float, ...]:
@@ -293,8 +297,8 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> Iterator[SweepRecord]:
     critical = _critical_controls(cfg)
     flagged = {int(np.argmin(np.abs(controls - crit)))
                for crit in critical if cfg.start <= crit <= cfg.stop}
-    return (_evaluate_point(cfg, float(control), critical, idx in flagged)
-            for idx, control in enumerate(controls))
+    evaluate = _evaluator(cfg, critical)
+    return (evaluate(float(control), idx in flagged) for idx, control in enumerate(controls))
 
 
 # ---------------------------------------------------------------------------

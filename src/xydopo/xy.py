@@ -113,8 +113,8 @@ def _stencil(energies, x: float, dh: float, columns, critical):
     for a critical control c. energies maps a list of controls to their e in one
     call, made only for the controls a requested column reads; a None e (an
     unstable network) makes each column that reads it None."""
-    if not dh > 0:
-        raise ValueError("dh must be positive")
+    if not 0 < dh < math.inf:
+        raise ValueError(f"dh must be positive and finite, got {dh}")
     derivatives = not columns.isdisjoint(("m_z", "chi"))
     middle = not columns.isdisjoint(("e_g", "chi"))
     xs = [x] * middle + [x - dh, x + dh] * derivatives

@@ -156,6 +156,23 @@ def test_sweep_numerical_error_exit_code(capsys, monkeypatch):
     assert "numerical" in err and "jy=0.999" in err and "h=1.0" in err
 
 
+_XY_ISING = ["sweep", "--model", "xy", "--jx", "1", "--jy", "0", "--start", "0", "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    _XY_ISING + ["--stop", "1", "--dh", "1e200", "--outputs", "e_g,m_z"],
+    _XY_ISING + ["--stop", "1e200", "--outputs", "e_g,m_z"],
+    ["sweep", "--model", "dopo", "--j", "1", "--d2", "0", "--start", "0", "--stop", "1e200",
+     "--steps", "3"],
+    ["critical", "--jx", "1e200", "--jy", "1e200"],
+], ids=["sweep-dh", "sweep-stop", "dopo-stop", "critical"])
+def test_float_overflow_exits_3(capsys, argv):
+    # a scale whose square overflows a float is a numerical error, not a failed validation
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.startswith("numerical error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("override", [("--stop", "inf"), ("--start", "-inf"),
                                       ("--dh", "inf"), ("--dh", "nan")],
                          ids=["stop-inf", "start-minus-inf", "dh-inf", "dh-nan"])

@@ -59,6 +59,17 @@ def test_spec_validation():
         integrate(np.sin, 1.0, 0.0)
 
 
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)],
+                         ids=["plus-inf", "minus-inf", "nan-a", "nan-b"])
+def test_non_finite_limits_are_refused_before_any_work(a, b):
+    # an infinite or NaN limit would otherwise climb to the node budget on NaN nodes
+    calls = []
+    with pytest.raises(ValueError, match="finite"):
+        integrate(lambda x: calls.append(x) or np.exp(x), a, b)
+    assert calls == []
+
+
 def _kinked(k):
     return np.abs(np.cos(k))
 

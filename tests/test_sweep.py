@@ -294,6 +294,31 @@ def test_each_stencil_energy_computed_once(monkeypatch, raw):
     assert max(per_record) <= 3, per_record
 
 
+
+@pytest.mark.parametrize("first, second", [
+    (dict(model="xy", jx=2.0, jy=1.0, start=0.0, stop=6.0, outputs="e_g,m_z,chi,phase,gap"),
+     dict(model="xy", jx=1.0, jy=0.0, start=0.5, stop=1.5, outputs="e_g,phase")),
+    (dict(model="mapped", jx=2.0, jy=1.0, start=0.0, stop=6.0, outputs="e_g,m_z,chi,phase,gap"),
+     dict(model="mapped", jx=1.0, jy=0.01, start=0.5, stop=1.5, outputs="m_z,gap")),
+    (dict(model="dopo", j=2.0, d2=1.0, start=-8.0, stop=8.0, outputs="e_g,m_z,chi,phase,gap"),
+     dict(model="dopo", j=1.0, start=-3.0, stop=3.0, outputs="chi,phase")),
+], ids=["xy", "mapped", "dopo"])
+def test_interleaved_sweeps_keep_their_own_state(first, second):
+    # what a sweep builds once from its config stays with that sweep: two sweeps
+    # consumed in alternation give the bytes each gives alone
+    cfgs = [config_from_dict(dict(raw, steps=9)) for raw in (first, second)]
+
+    def csv(records):
+        out = io.StringIO()
+        write_csv(records, out)
+        return out.getvalue()
+
+    alone = [csv(run_sweep(cfg)) for cfg in cfgs]
+    together = list(zip(*zip(run_sweep(cfgs[0]), run_sweep(cfgs[1]))))
+    assert [csv(records) for records in together] == alone
+    assert alone[0] != alone[1]
+
+
 def test_chain_derivative_columns_match_the_public_functions():
     # the sweep's own stencil must give what xy_magnetization and
     # xy_susceptibility give at the same quad and dh, to the last bit

@@ -152,6 +152,16 @@ def test_susceptibility_tolerance_guard():
             call()
 
 
+
+@pytest.mark.parametrize("dh", [math.inf, -math.inf, math.nan], ids=["plus-inf", "minus-inf", "nan"])
+def test_non_finite_step_is_refused(dh):
+    # an infinite step would otherwise reach a NaN energy at x -+ inf
+    p = XYParams(1.0, 0.0, 0.5)
+    for derivative in (xy_magnetization, xy_susceptibility):
+        with pytest.raises(ValueError, match="dh must be positive and finite"):
+            derivative(p, dh=dh)
+
+
 def test_susceptibility_vanishes_in_polarized_phase():
     res = xy_susceptibility(XYParams(1.0, 1.0, 3.0), dh=1e-3)
     assert abs(res.value) < 1e-6
